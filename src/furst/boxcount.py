@@ -1,6 +1,5 @@
 """Grid covering numbers and log-log dimension fits for point clouds."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +10,7 @@ from .errors import (
     InvalidScale,
     StaleResolution,
 )
-from .util import snap_floor
+from .util import snap_floor, write_csv, write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,33 +119,34 @@ class CoverReport:
                 "use a geometric schedule with integer scale ratios"
             )
 
-    def rows(self):
-        """(delta, count, log(1/delta), log(count)) per schedule entry."""
-        return [
-            (d, n, float(np.log(1.0 / d)), float(np.log(n)))
-            for d, n in zip(self.deltas, self.counts)
-        ]
+    def write(self, stem, extra: dict | None = None):
+        """Write `stem`.csv and the `stem`.json fit sidecar, plus `extra` keys."""
+        write_cover(
+            stem,
+            self.deltas,
+            self.counts,
+            {
+                "slope": self.slope,
+                "residual": self.residual,
+                "fit_range": list(self.fit_range),
+                **(extra or {}),
+            },
+        )
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("delta,count,log_inv_delta,log_count\n")
-            for d, n, x, y in self.rows():
-                fh.write(f"{d!r},{n},{x!r},{y!r}\n")
 
-    def sidecar(self) -> dict:
-        return {
-            "slope": self.slope,
-            "residual": self.residual,
-            "fit_range": list(self.fit_range),
-        }
+def write_cover(stem, deltas, counts, sidecar: dict) -> None:
+    """Write a covering-count series as `stem`.csv plus `stem`.json.
 
-    def write_sidecar(self, path, extra: dict | None = None):
-        payload = self.sidecar()
-        if extra:
-            payload.update(extra)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    The CSV holds one (delta, count, log(1/delta), log(count)) row per
+    scale; the JSON sidecar holds `sidecar` (the fit and its context).
+    Point reports and line-mesh counts share this one format.
+    """
+    rows = [
+        (d, n, float(np.log(1.0 / d)), float(np.log(n)))
+        for d, n in zip(deltas, counts)
+    ]
+    write_csv(f"{stem}.csv", ("delta", "count", "log_inv_delta", "log_count"), rows)
+    write_json(f"{stem}.json", sidecar)
 
 
 def fit_slope(deltas, counts) -> tuple[float, float]:

@@ -10,12 +10,18 @@ floats.  Exit codes: 0 success, 1 user/config error, 2 resource cap,
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .boxcount import PointCloud, dyadic_schedule, estimate_dimension, fit_slope, grid_count
+from .boxcount import (
+    PointCloud,
+    dyadic_schedule,
+    estimate_dimension,
+    fit_slope,
+    grid_count,
+    write_cover,
+)
 from .construct_box import BoxSharpSpec, build_lines, build_points, calibrate_cover, predicted_cover
 from .construct_packing import (
     OPTION_LINES,
@@ -25,6 +31,7 @@ from .construct_packing import (
 )
 from .errors import FurstError, InconsistentInput, InvalidParameter, ResourceCap, SoundnessViolation
 from .grassmann import LineFamily, mesh_cover_count
+from .util import read_csv, write_csv, write_json
 from .verifier import dimension_thresholds, pigeonhole_extract, two_point_extract
 
 EXIT_OK = 0
@@ -39,42 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameter(message)
 
 
-def _write_json(path: Path, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _read_json(path: Path) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def _write_points_csv(path: Path, points: np.ndarray):
-    d = points.shape[1]
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
-        for row in points:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def _write_lines_csv(path: Path, family: LineFamily):
-    d = family.dim
-    cols = [f"dir{i + 1}" for i in range(d)] + [f"trans{i + 1}" for i in range(d)]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for v, a in zip(family.directions, family.translations):
-            fh.write(
-                ",".join(repr(float(x)) for x in v)
-                + ","
-                + ",".join(repr(float(x)) for x in a)
-                + "\n"
-            )
-
-
-def _read_points_csv(path: Path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data
 
 
 def cmd_construct_box(config: dict, out: Path) -> int:
@@ -82,10 +56,15 @@ def cmd_construct_box(config: dict, out: Path) -> int:
     cloud = build_points(spec)
     family = build_lines(spec)
     out.mkdir(parents=True, exist_ok=True)
-    _write_points_csv(out / "points.csv", cloud.points)
-    _write_lines_csv(out / "lines.csv", family)
+    d = spec.d
+    write_csv(out / "points.csv", [f"x{i + 1}" for i in range(d)], cloud.points)
+    write_csv(
+        out / "lines.csv",
+        [f"dir{i + 1}" for i in range(d)] + [f"trans{i + 1}" for i in range(d)],
+        np.hstack([family.directions, family.translations]),
+    )
     box, packing, hausdorff = dimension_thresholds(spec.d, spec.s, spec.t)
-    _write_json(
+    write_json(
         out / "manifest.json",
         {
             "kind": "box",
@@ -98,11 +77,7 @@ def cmd_construct_box(config: dict, out: Path) -> int:
                 "points": cloud.resolution_floor,
                 "lines": family.resolution_floor,
             },
-            "thresholds": {
-                "box": box,
-                "packing": packing,
-                "hausdorff": hausdorff,
-            },
+            "thresholds": {"box": box, "packing": packing, "hausdorff": hausdorff},
         },
     )
     return EXIT_OK
@@ -126,49 +101,26 @@ def cmd_construct_packing(config: dict, out: Path) -> int:
         max_marks=int(caps.get("max_marks", 500_000)),
     )
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trajectory.csv", "w") as fh:
-        fh.write("k,eta,option,num_lines,num_marks,pred_lines,pred_marks\n")
-        pred_l, pred_m = 1.0, 1.0
-        for st in states:
-            option = st.history[-1] if st.history else ""
-            fh.write(
-                f"{st.k},{st.eta!r},{option},{st.num_lines},{st.num_marks},"
-                f"{pred_l!r},{pred_m!r}\n"
-            )
-            if st.k < len(states) - 1:
-                nxt_eta = schedule.etas[st.k + 1]
-                nxt_option = states[st.k + 1].history[-1]
-                fl, fm = predicted_step_factors(st, nxt_eta, nxt_option)
-                pred_l *= fl
-                pred_m *= fm
-    states_payload = []
+    rows = []
+    pred_l, pred_m = 1.0, 1.0
     for st in states:
-        states_payload.append(
-            {
-                "k": st.k,
-                "eta": st.eta,
-                "lines": [
-                    {
-                        "direction": [float(x) for x in ln.direction.vector],
-                        "translation": [float(x) for x in ln.translation],
-                    }
-                    for ln in st.lines
-                ],
-                "marks": [[list(map(float, p)) for p in m] for m in st.marks],
-                "option": st.history[-1] if st.history else None,
-            }
+        rows.append(
+            (st.k, st.eta, st.history[-1] if st.history else "",
+             st.num_lines, st.num_marks, pred_l, pred_m)
         )
-    _write_json(
-        out / "states.json",
-        {
-            "d": int(config["d"]),
-            "s": float(config["s"]),
-            "t": float(config["t"]),
-            "schedule": schedule.to_config(),
-            "states": states_payload,
-        },
+        if st.k < len(states) - 1:
+            fl, fm = predicted_step_factors(
+                st, schedule.etas[st.k + 1], states[st.k + 1].history[-1]
+            )
+            pred_l *= fl
+            pred_m *= fm
+    write_csv(
+        out / "trajectory.csv",
+        ("k", "eta", "option", "num_lines", "num_marks", "pred_lines", "pred_marks"),
+        rows,
     )
-    _write_json(
+    _write_states(out / "states.json", config, schedule, states)
+    write_json(
         out / "manifest.json",
         {
             "kind": "packing",
@@ -182,20 +134,62 @@ def cmd_construct_packing(config: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _load_box_artifacts(out: Path):
-    manifest = _read_json(out / "manifest.json")
-    if manifest.get("kind") != "box":
-        raise InvalidParameter(f"{out} does not hold box artifacts")
-    pts = _read_points_csv(out / "points.csv")
+def _write_states(path: Path, config: dict, schedule: ScaleSchedule, states):
+    write_json(
+        path,
+        {
+            "d": int(config["d"]),
+            "s": float(config["s"]),
+            "t": float(config["t"]),
+            "schedule": schedule.to_config(),
+            "states": [
+                {
+                    "k": st.k,
+                    "eta": st.eta,
+                    "lines": [
+                        {
+                            "direction": ln.direction.vector.tolist(),
+                            "translation": ln.translation.tolist(),
+                        }
+                        for ln in st.lines
+                    ],
+                    "marks": [m.tolist() for m in st.marks],
+                    "option": st.history[-1] if st.history else None,
+                }
+                for st in states
+            ],
+        },
+    )
+
+
+def _read_states(path: Path):
+    """(s, t, [(k, eta, family, marks), ...]) from a states.json.
+
+    Each family is built straight from the stored arrays with floor eta/4,
+    and `marks` holds one (n_i, d) array per line.
+    """
+    payload = _read_json(path)
+    states = []
+    for st in payload["states"]:
+        eta = st["eta"]
+        family = LineFamily(
+            [ln["direction"] for ln in st["lines"]],
+            [ln["translation"] for ln in st["lines"]],
+            eta / 4.0,
+        )
+        states.append((st["k"], eta, family, [np.array(m) for m in st["marks"]]))
+    return payload["s"], payload["t"], states
+
+
+def _load_box_artifacts(out: Path, manifest: dict):
+    pts = read_csv(out / "points.csv")
+    if len(pts) == 0:
+        raise InconsistentInput(f"{out / 'points.csv'} holds no points")
     cloud = PointCloud(pts, manifest["floors"]["points"])
     d = pts.shape[1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # loadtxt warns on header-only files
-        raw = np.loadtxt(out / "lines.csv", delimiter=",", skiprows=1, ndmin=2)
-    if raw.size == 0:
-        raw = np.empty((0, 2 * d))
+    raw = read_csv(out / "lines.csv")
     family = LineFamily(raw[:, :d], raw[:, d:], manifest["floors"]["lines"])
-    return manifest, cloud, family
+    return cloud, family
 
 
 def _default_scales(floor: float, requested) -> list[float]:
@@ -204,18 +198,17 @@ def _default_scales(floor: float, requested) -> list[float]:
     return dyadic_schedule(0.25, max(floor, 2.0**-12))
 
 
-def cmd_estimate(out: Path, scales, fmt: str) -> int:
+def cmd_estimate(out: Path, scales) -> int:
     manifest = _read_json(out / "manifest.json")
     if manifest.get("kind") == "box":
-        manifest, cloud, family = _load_box_artifacts(out)
+        cloud, family = _load_box_artifacts(out, manifest)
         spec = BoxSharpSpec.from_config(manifest["spec"])
         xsched = _default_scales(cloud.resolution_floor, scales)
         report = estimate_dimension(cloud, xsched)
-        report.write_csv(out / "x_cover.csv")
         calibration = calibrate_cover(spec, cloud, xsched[0])
         envelope = [predicted_cover(spec, s, calibration=calibration) for s in xsched]
-        report.write_sidecar(
-            out / "x_cover.json",
+        report.write(
+            out / "x_cover",
             extra={
                 "thresholds": manifest["thresholds"],
                 "envelope_calibration": calibration,
@@ -234,12 +227,10 @@ def cmd_estimate(out: Path, scales, fmt: str) -> int:
             )
         lcounts = [mesh_cover_count(family, s) for s in lsched]
         lslope, lresid = fit_slope(lsched, lcounts)
-        with open(out / "line_cover.csv", "w") as fh:
-            fh.write("delta,count,log_inv_delta,log_count\n")
-            for s, n in zip(lsched, lcounts):
-                fh.write(f"{s!r},{n},{float(np.log(1 / s))!r},{float(np.log(n))!r}\n")
-        _write_json(
-            out / "line_cover.json",
+        write_cover(
+            out / "line_cover",
+            lsched,
+            lcounts,
             {
                 "slope": lslope,
                 "residual": lresid,
@@ -248,51 +239,22 @@ def cmd_estimate(out: Path, scales, fmt: str) -> int:
                 "thresholds": manifest["thresholds"],
             },
         )
-        if fmt == "json":
-            _write_json(
-                out / "estimate.json",
-                {
-                    "x_slope": report.slope,
-                    "line_slope": lslope,
-                    "x_counts": list(report.counts),
-                    "line_counts": lcounts,
-                },
-            )
         return EXIT_OK
     if manifest.get("kind") == "packing":
-        payload = _read_json(out / "states.json")
+        s, t, states = _read_states(out / "states.json")
         rows = []
-        for st in payload["states"]:
-            if st["k"] == 0:
-                continue
-            eta = st["eta"]
-            marks = np.concatenate([np.array(m) for m in st["marks"]])
-            mcloud = PointCloud(marks, eta / 4.0)
-            mcount = grid_count(mcloud, eta)
-            fam = LineFamily(
-                np.array([ln["direction"] for ln in st["lines"]]),
-                np.array([ln["translation"] for ln in st["lines"]]),
-                eta / 4.0,
-            )
-            lcount = mesh_cover_count(fam, eta)
-            rows.append(
-                (
-                    st["k"],
-                    eta,
-                    mcount,
-                    lcount,
-                    float(np.log(mcount) / np.log(1.0 / eta)),
-                    float(np.log(lcount) / np.log(1.0 / eta)),
-                )
-            )
-        with open(out / "packing_exponents.csv", "w") as fh:
-            fh.write("k,eta,mark_cells,line_cells,mark_exponent,line_exponent\n")
-            for row in rows:
-                fh.write(
-                    f"{row[0]},{row[1]!r},{row[2]},{row[3]},{row[4]!r},{row[5]!r}\n"
-                )
-        s, t = payload["s"], payload["t"]
-        _write_json(
+        for k, eta, family, marks in states[1:]:
+            mcount = grid_count(PointCloud(np.concatenate(marks), eta / 4.0), eta)
+            lcount = mesh_cover_count(family, eta)
+            log_inv = np.log(1.0 / eta)
+            rows.append((k, eta, mcount, lcount, float(np.log(mcount) / log_inv),
+                         float(np.log(lcount) / log_inv)))
+        write_csv(
+            out / "packing_exponents.csv",
+            ("k", "eta", "mark_cells", "line_cells", "mark_exponent", "line_exponent"),
+            rows,
+        )
+        write_json(
             out / "packing_exponents.json",
             {
                 "mark_exponent_cap": max(s, t / 2.0),
@@ -305,10 +267,9 @@ def cmd_estimate(out: Path, scales, fmt: str) -> int:
 
 def cmd_verify(out: Path, scales) -> int:
     manifest = _read_json(out / "manifest.json")
-    certificates = []
-    sound = True
+    checked = []  # (certificate, measured count, sound)
     if manifest.get("kind") == "box":
-        manifest, cloud, family = _load_box_artifacts(out)
+        cloud, family = _load_box_artifacts(out, manifest)
         sched = [
             s
             for s in _default_scales(cloud.resolution_floor, scales)
@@ -325,46 +286,30 @@ def cmd_verify(out: Path, scales) -> int:
                 cert.bound <= 3**cloud.dim * measured
                 and cert.min_witness_separation() >= s
             )
-            sound &= ok
-            entry = cert.to_json()
-            entry["measured_count"] = measured
-            entry["sound"] = ok
-            certificates.append(entry)
+            checked.append((cert, measured, ok))
     elif manifest.get("kind") == "packing":
-        payload = _read_json(out / "states.json")
-        final = payload["states"][-1]
-        eta = final["eta"]
-        marks = [np.array(m) for m in final["marks"]]
+        _, t, states = _read_states(out / "states.json")
+        _, eta, fam, marks = states[-1]
         if all(m.shape[0] >= 2 for m in marks):
-            fam = LineFamily(
-                np.array([ln["direction"] for ln in final["lines"]]),
-                np.array([ln["translation"] for ln in final["lines"]]),
-                eta / 4.0,
-            )
             xs = np.array([m[0] for m in marks])
             ys = np.array([m[-1] for m in marks])
             gap = float(np.linalg.norm(xs - ys, axis=1).min())
             n = int(np.ceil(1.0 / gap))
-            cert = two_point_extract(fam, xs, ys, eta, payload["t"], n)
-            all_marks = np.concatenate(marks)
-            measured = grid_count(PointCloud(all_marks, eta / 4.0), eta)
-            ok = cert.bound <= 3 ** len(final["lines"][0]["direction"]) * measured
-            sound &= ok
-            entry = cert.to_json()
-            entry["measured_count"] = measured
-            entry["sound"] = ok
-            certificates.append(entry)
+            cert = two_point_extract(fam, xs, ys, eta, t, n)
+            measured = grid_count(PointCloud(np.concatenate(marks), eta / 4.0), eta)
+            checked.append((cert, measured, cert.bound <= 3**fam.dim * measured))
     else:
         raise InvalidParameter(f"unknown artifact kind in {out}")
-    _write_json(
-        out / "certificates.json",
-        {"certificates": certificates, "all_sound": sound},
+    certificates = [
+        dict(cert.to_json(), measured_count=measured, sound=ok)
+        for cert, measured, ok in checked
+    ]
+    sound = all(ok for _, _, ok in checked)
+    write_json(out / "certificates.json", {"certificates": certificates, "all_sound": sound})
+    write_json(
+        out / "verify_summary.json",
+        {"scales_checked": len(certificates), "all_sound": sound},
     )
-    summary = {
-        "scales_checked": len(certificates),
-        "all_sound": sound,
-    }
-    _write_json(out / "verify_summary.json", summary)
     if not certificates:
         print("verify: no certificates produced (empty input)", file=sys.stderr)
     if not sound:
@@ -413,7 +358,7 @@ def cmd_report(out: Path) -> int:
         sidecar = out / f"{stem}.json"
         if not csv.exists() or not sidecar.exists():
             continue
-        data = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+        data = read_csv(csv)
         meta = _read_json(sidecar)
         xs, ys = data[:, 2], data[:, 3]
         slope = meta["slope"]
@@ -424,7 +369,7 @@ def cmd_report(out: Path) -> int:
         raise InvalidParameter(
             f"no cover reports found in {out}; run `estimate` first"
         )
-    _write_json(out / "report.json", {"series": made})
+    write_json(out / "report.json", {"series": made})
     return EXIT_OK
 
 
@@ -446,15 +391,11 @@ def build_parser() -> _Parser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--scales", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-    for name in ("estimate", "verify", "report"):
+    for name in ("estimate", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--out", required=True)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--scales", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_parser("report").add_argument("--out", required=True)
     return parser
 
 
@@ -474,7 +415,7 @@ def main(argv=None) -> int:
                 return cmd_construct_box(config, out)
             return cmd_construct_packing(config, out)
         if args.command == "estimate":
-            return cmd_estimate(out, _parse_scales(args.scales), args.format)
+            return cmd_estimate(out, _parse_scales(args.scales))
         if args.command == "verify":
             return cmd_verify(out, _parse_scales(args.scales))
         return cmd_report(out)

@@ -19,6 +19,7 @@ from .boxcount import PointCloud, grid_count
 from .cantor import CantorSpec
 from .errors import InvalidParameter, InvalidScale, ResourceCap
 from .grassmann import Direction, LineFamily, canonical_vector
+from .util import min_pairwise_distance
 
 DEFAULT_MAX_POINTS = 20_000_000
 MAX_SHELL = 64
@@ -139,15 +140,14 @@ class TranslationSequence:
         return self.vectors.shape[0]
 
 
-def make_directions(d: int, count: int, seed: int, density: int = 0) -> DirectionSequence:
+def make_directions(d: int, count: int, density: int = 0) -> DirectionSequence:
     """Directions in shells around the first coordinate axis.
 
     Shell j occupies angular distance [2^{-j-1}, 2^{-j}) from the base
     direction and carries a lattice net of spacing 2^{-(j^2 + density)};
     for d = 2 the net points are the angles 2^{-j-1} + i * spacing.
     Enumeration is shell by shell, so the first direction is always the
-    shell-1 start at distance about 1/4.  `seed` is accepted for interface
-    stability; the scheme itself is deterministic.
+    shell-1 start at distance about 1/4.
     """
     if count < 1:
         raise InvalidParameter("need at least one direction")
@@ -223,7 +223,7 @@ def _sequence_values(part: float, count: int) -> np.ndarray:
     return m**-alpha
 
 
-def make_translations(d: int, beta: float, count: int, seed: int) -> TranslationSequence:
+def make_translations(d: int, beta: float, count: int) -> TranslationSequence:
     """Bounded countable set in the base orthocomplement of dimension beta.
 
     beta is split across the d-1 orthocomplement coordinates as maximal
@@ -301,7 +301,7 @@ def build_points(spec: BoxSharpSpec) -> PointCloud:
             f"{spec.max_points}"
         )
     endpoints = cantor.points_at_depth(spec.cantor, spec.depth)
-    dirs = make_directions(spec.d, spec.N, spec.seed, spec.dir_density)
+    dirs = make_directions(spec.d, spec.N, spec.dir_density)
     P = endpoints.size
     if spec.collapsed:
         n_idx = np.arange(1, spec.N + 1)
@@ -314,7 +314,7 @@ def build_points(spec: BoxSharpSpec) -> PointCloud:
         ).reshape(-1, spec.d)
         log2_floor = 2.0 - spec.N - spec.depth * np.log2(spec.cantor.base)
     else:
-        trans = make_translations(spec.d, spec.beta, spec.M, spec.seed)
+        trans = make_translations(spec.d, spec.beta, spec.M)
         m_idx, n_idx = _pair_order(spec.M, spec.N)
         scales = np.exp2(-(m_idx + n_idx).astype(float))
         out = (
@@ -329,19 +329,6 @@ def build_points(spec: BoxSharpSpec) -> PointCloud:
     return PointCloud(out, _floor_from_exponent(log2_floor))
 
 
-def _min_translation_gap(vectors: np.ndarray) -> float:
-    if vectors.shape[0] < 2:
-        return 1.0
-    if vectors.shape[0] <= 4096:
-        diffs = vectors[:, None, :] - vectors[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
-        dist[np.diag_indices(len(dist))] = np.inf
-        return float(dist.min())
-    # large families: consecutive gaps of the sorted norms bound the min
-    norms = np.sort(np.linalg.norm(vectors, axis=1))
-    return float(np.diff(norms).min())
-
-
 def build_lines(spec: BoxSharpSpec) -> LineFamily:
     """The induced line family, one line per (direction, translation) pair.
 
@@ -350,7 +337,7 @@ def build_lines(spec: BoxSharpSpec) -> LineFamily:
     dimension target is t = (d - 1) + beta.  The resolution floor is 4x
     the finest structural gap (direction net spacing or translation gap).
     """
-    dirs = make_directions(spec.d, spec.N, spec.seed, spec.dir_density)
+    dirs = make_directions(spec.d, spec.N, spec.dir_density)
     dir_gap = min(sp for _, sp, _ in dirs.shells if sp > 0.0) if any(
         sp > 0.0 for _, sp, _ in dirs.shells
     ) else 1e-300
@@ -361,14 +348,13 @@ def build_lines(spec: BoxSharpSpec) -> LineFamily:
         translations = np.zeros_like(directions)
         floor = 4.0 * dir_gap
         return LineFamily(directions, translations, min(floor, 1.0))
-    trans = make_translations(spec.d, spec.beta, spec.M, spec.seed)
+    trans = make_translations(spec.d, spec.beta, spec.M)
     m_idx, n_idx = _pair_order(spec.M, spec.N)
     directions = dirs.vectors[n_idx - 1]
     u = trans.vectors[m_idx - 1]
     along = np.einsum("ij,ij->i", u, directions)
     translations = u - along[:, None] * directions
-    u_gap = _min_translation_gap(trans.vectors)
-    floor = 4.0 * min(dir_gap, 0.5 * u_gap)
+    floor = 4.0 * min(dir_gap, 0.5 * min_pairwise_distance(trans.vectors))
     return LineFamily(directions, translations, min(floor, 1.0))
 
 

@@ -19,11 +19,13 @@ from .errors import (
     InvalidParameter,
     NotInFamily,
     ResourceCap,
+    SoundnessViolation,
 )
 from .grassmann import (
     AffineLine,
     Direction,
     LineFamily,
+    _gram_schmidt_frame,
     canonical_vector,
     mesh_cover_count,
     metric_d1,
@@ -120,26 +122,30 @@ class MarkedLineState:
         """Exact (to rounding, tolerance `tol` relative) separation checks.
 
         Lines pairwise >= eta in the line metric; marks on each line
-        pairwise >= eta; every mark on its line.  Raises AssertionError on
-        the first violation.
+        pairwise >= eta; every mark on its line.  Raises SoundnessViolation
+        on the first violation.
         """
         floor = self.eta * (1.0 - tol)
         pairs = _separation_pairs(self.num_lines)
         for i, j in pairs:
             dist = metric_d1(self.lines[i], self.lines[j])
-            assert dist >= floor, (
-                f"lines {i},{j} at distance {dist:.3e} < eta {self.eta:.3e}"
-            )
+            if not dist >= floor:
+                raise SoundnessViolation(
+                    f"lines {i},{j} at distance {dist:.3e} < eta {self.eta:.3e}"
+                )
         for i, (line, marks) in enumerate(zip(self.lines, self.marks)):
-            assert marks.shape[0] >= 1, f"line {i} lost all marks"
+            if marks.shape[0] < 1:
+                raise SoundnessViolation(f"line {i} lost all marks")
             off = line.point_distance(marks)
-            assert off.max() <= 1e-9, f"marks strayed from line {i}"
+            if not off.max() <= 1e-9:
+                raise SoundnessViolation(f"marks strayed from line {i}")
             if marks.shape[0] > 1:
                 proj = marks @ line.direction.vector
                 gaps = np.diff(np.sort(proj))
-                assert gaps.min() >= floor, (
-                    f"marks on line {i} at gap {gaps.min():.3e} < eta"
-                )
+                if not gaps.min() >= floor:
+                    raise SoundnessViolation(
+                        f"marks on line {i} at gap {gaps.min():.3e} < eta"
+                    )
 
 
 def _separation_pairs(n: int, exhaustive_limit: int = 1500):
@@ -218,7 +224,7 @@ def _line_net(line: AffineLine, radius: float, sep: float) -> list[AffineLine]:
         else:
             v0 = line.direction.vector
             w = v0.copy()
-            frame = _tangent_frame(v0)
+            frame = _gram_schmidt_frame(v0)
             for c, f in zip(dir_off, frame):
                 w = w + c * f
             v = canonical_vector(w)
@@ -227,7 +233,7 @@ def _line_net(line: AffineLine, radius: float, sep: float) -> list[AffineLine]:
             normal = _perp_2d(v)
             a = base + trans_off[0] * normal
         else:
-            frame_perp = _tangent_frame(v)
+            frame_perp = _gram_schmidt_frame(v)
             a = base.copy()
             for c, f in zip(trans_off, frame_perp):
                 a = a + c * f
@@ -251,12 +257,6 @@ def _line_net(line: AffineLine, radius: float, sep: float) -> list[AffineLine]:
     if not kept:  # radius below the lattice step: keep the center
         kept.append(line)
     return kept
-
-
-def _tangent_frame(v: np.ndarray):
-    from .grassmann import _gram_schmidt_frame
-
-    return _gram_schmidt_frame(v)
 
 
 def _lex_grid(axes):

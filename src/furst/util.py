@@ -1,8 +1,14 @@
-"""Small shared helpers: seed splitting and boundary-safe grid indexing."""
+"""Small shared helpers: seed splitting, boundary-safe grid indexing,
+exact nearest-pair distances, and the CSV/JSON codec every artifact uses."""
 
 import hashlib
+import json
+import math
+import warnings
 
 import numpy as np
+
+from .errors import InconsistentInput
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -29,3 +35,81 @@ def snap_floor(values, width: float, snap: float = 1e-9) -> np.ndarray:
     idx = np.floor(q)
     idx += (q - idx) > (1.0 - snap)
     return idx.astype(np.int64)
+
+
+def min_pairwise_distance(points) -> float:
+    """Exact minimum Euclidean distance over all pairs of rows (inf below 2).
+
+    Distances are norms of difference rows, as in an n x n distance matrix,
+    so the result matches that matrix bit for bit, in O(n) memory: rows are
+    sorted along their widest coordinate and each is compared with its
+    successors while they lie within the best distance so far.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    if n < 2:
+        return math.inf
+    axis = int(np.argmax(np.ptp(pts, axis=0)))
+    pts = pts[np.argsort(pts[:, axis], kind="stable")]
+    key = pts[:, axis]
+    best = math.inf
+    active = np.arange(n - 1)
+    k = 1
+    while active.size:
+        dist = np.linalg.norm(pts[active + k] - pts[active], axis=-1)
+        best = min(best, float(dist.min()))
+        k += 1
+        active = active[active + k < n]
+        # a pair further apart along the sorted axis than `best` (with
+        # room for the rounding of the norm) cannot come closer
+        active = active[key[active + k] - key[active] <= best * (1.0 + 1e-12)]
+    return best
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one comma-separated line per row.
+
+    Cells go through str(), the shortest round-trip repr for Python floats;
+    an ndarray is converted with tolist() so no numpy scalar is formatted,
+    a block of rows at a time so the Python copy stays small.
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            for start in range(0, len(rows), 4096):
+                block = rows[start : start + 4096].tolist()
+                fh.writelines(",".join(map(str, row)) + "\n" for row in block)
+        else:
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def read_csv(path) -> np.ndarray:
+    """A headered numeric CSV as a (rows, len(header)) float array.
+
+    A header-only file gives a (0, len(header)) array; unparsable cells or
+    rows whose width differs from the header raise InconsistentInput.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on no data
+            # given the path rather than the open file, loadtxt reads faster
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise InconsistentInput(f"{path}: malformed CSV ({exc})") from exc
+    if data.size == 0:
+        return np.empty((0, len(header)))
+    if data.shape[1] != len(header):
+        raise InconsistentInput(
+            f"{path}: rows have {data.shape[1]} columns, the header names "
+            f"{len(header)}"
+        )
+    return data
+
+
+def write_json(path, payload) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -6,7 +6,6 @@ the certified bound is the witness count, so the certificate is sound by
 inspection rather than by trusting the argument that produced it.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,8 @@ from .errors import (
     InvalidWitness,
     SoundnessViolation,
 )
-from .grassmann import LineFamily, mesh_assign
-from .util import snap_floor
+from .grassmann import LineFamily, mesh_assign, metric_d1
+from .util import min_pairwise_distance, snap_floor
 
 THINNING_SEPARATION = 4.0  # translations thinned to >= 4*delta apart
 TWO_POINT_CONSTANT = 16.0  # documented constant C in the bound floor
@@ -44,13 +43,7 @@ class ExtractionCertificate:
         return self.witnesses.shape[0]
 
     def min_witness_separation(self) -> float:
-        w = self.witnesses
-        if w.shape[0] < 2:
-            return math.inf
-        diffs = w[:, None, :] - w[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
-        dist[np.diag_indices(len(dist))] = np.inf
-        return float(dist.min())
+        return min_pairwise_distance(self.witnesses)
 
     def to_json(self) -> dict:
         return {
@@ -63,19 +56,9 @@ class ExtractionCertificate:
             "meta": self.meta,
         }
 
-    def write(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _check_witnesses(witnesses: np.ndarray, delta: float, context: str):
-    if witnesses.shape[0] < 2:
-        return
-    diffs = witnesses[:, None, :] - witnesses[None, :, :]
-    dist = np.linalg.norm(diffs, axis=2)
-    dist[np.diag_indices(len(dist))] = np.inf
-    worst = float(dist.min())
+    worst = min_pairwise_distance(witnesses)
     if worst < delta:
         raise SoundnessViolation(
             f"{context}: witness pair at distance {worst:.6e} < delta "
@@ -289,8 +272,6 @@ def two_point_extract(
 
 
 def _require_separated_lines(family: LineFamily, delta: float):
-    from .grassmann import metric_d1
-
     K = len(family)
     if K > 2000:
         raise InvalidParameter(

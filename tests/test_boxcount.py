@@ -129,8 +129,7 @@ class TestEstimateDimension:
     def test_report_serialization(self, tmp_path):
         cloud = furst.PointCloud((np.arange(64) / 64).reshape(-1, 1), 2.0**-8)
         report = furst.estimate_dimension(cloud, [2.0**-j for j in range(2, 7)])
-        report.write_csv(tmp_path / "cover.csv")
-        report.write_sidecar(tmp_path / "cover.json")
+        report.write(tmp_path / "cover")
         header = (tmp_path / "cover.csv").read_text().splitlines()[0]
         assert header == "delta,count,log_inv_delta,log_count"
         import json

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,48 @@ PACKING_CONFIG = {
     "schedule": {"mode": "demo", "etas": [1.0, 1 / 16, 1 / 256, 1 / 4096]},
     "seed": 7,
 }
+
+
+# README's packing config, with the sha256 of every artifact its
+# construct-packing -> estimate -> verify flow writes
+README_PACKING_CONFIG = {
+    "d": 2,
+    "s": 0.5,
+    "t": 1.0,
+    "seed": 7,
+    "schedule": {
+        "mode": "demo",
+        "etas": [1.0, 0.0625, 0.00390625, 0.000244140625],
+    },
+}
+README_PACKING_SHA256 = {
+    "certificates.json": "57c1061bc6e4015e7c7b4662fb9cfd78096372cb373ebab27ddf854727727365",
+    "manifest.json": "092d620062b33000fb23d5c47b70320e7321880840625ed53d87aa1a2da7a9df",
+    "packing_exponents.csv": "95b010a600ee5af300de39da09890f19ae7b0c6cd1fc892359049d7079bdbcce",
+    "packing_exponents.json": "bbc78719a87f512cc90d9e946e13e08c0f25d67efe88efe7b40a6feec9e7995b",
+    "states.json": "be22925335aec0265c3978322ffd8d008e20cb89f166ddfa8e8dac0976cc836a",
+    "trajectory.csv": "4797ec1a8b072508e37a62427485143cbe4365c9988a497ac3e66061ceeb7010",
+    "verify_summary.json": "d3b48312953c672cc101c114a9a5a594723309cfce2e5325c63e54009a865d24",
+}
+
+
+# float resolution near the marks' coordinates runs out at 2^-52, so the
+# last step's separation check must fail
+UNSOUND_PACKING_CONFIG = dict(
+    PACKING_CONFIG,
+    schedule={"mode": "demo", "etas": [1.0, 1 / 16, 2.0**-10, 2.0**-24, 2.0**-52]},
+)
+
+REMOVED_FLAGS = [
+    (cmd, flag)
+    for cmds, flags in (
+        (("construct-box", "construct-packing"), ("--scales", "--format")),
+        (("estimate", "verify"), ("--config", "--seed", "--format")),
+        (("report",), ("--config", "--seed", "--scales", "--format")),
+    )
+    for cmd in cmds
+    for flag in flags
+]
 
 
 def write_config(path, payload):
@@ -77,6 +124,37 @@ class TestConstruct:
     def test_unknown_flag_is_user_error(self, tmp_path):
         assert main(["construct-box", "--nope"]) == 1
 
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+    def test_removed_flag_is_user_error(self, tmp_path, capsys, command, flag):
+        argv = [command, "--out", str(tmp_path / "out"), flag, "1"]
+        if command.startswith("construct"):
+            argv += ["--config", write_config(tmp_path / "c.json", BOX_CONFIG)]
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unsound_packing_exits_3(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "u.json", UNSOUND_PACKING_CONFIG)
+        out = tmp_path / "u"
+        assert main(["construct-packing", "--config", cfg_path, "--out", str(out)]) == 3
+        assert "< eta" in capsys.readouterr().err
+        assert not (out / "states.json").exists()
+
+    def test_unsound_packing_exits_3_under_optimize(self, tmp_path):
+        # soundness checks must not rely on assert, which -O strips
+        cfg_path = write_config(tmp_path / "u.json", UNSOUND_PACKING_CONFIG)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "furst.cli", "construct-packing",
+             "--config", cfg_path, "--out", str(tmp_path / "u")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestEstimateVerifyReport:
     def test_box_estimate_slopes(self, tmp_path):
@@ -111,6 +189,41 @@ class TestEstimateVerifyReport:
         assert main(["estimate", "--out", str(out)]) == 0
         side = json.loads((out / "x_cover.json").read_text())
         assert side["slope"] == 0.0
+
+    def write_box_dir(self, out, points_csv):
+        out.mkdir()
+        (out / "points.csv").write_text(points_csv)
+        (out / "lines.csv").write_text("dir1,dir2,trans1,trans2\n1.0,0.0,0.0,0.75\n")
+        (out / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "kind": "box",
+                    "spec": BOX_CONFIG,
+                    "floors": {"points": 1e-9, "lines": 1e-9},
+                    "thresholds": {"box": 0, "packing": 0, "hausdorff": 0},
+                }
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "points_csv",
+        ["x1,x2\n0.25,abc\n", "x1,x2\n0.25,0.75\n0.5\n", "x1,x2\n0.1,0.2,0.3\n"],
+    )
+    @pytest.mark.parametrize("command", ["estimate", "verify"])
+    def test_malformed_points_csv_is_user_error(self, tmp_path, capsys, command, points_csv):
+        out = tmp_path / "bad"
+        self.write_box_dir(out, points_csv)
+        assert main([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "points.csv" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["estimate", "verify"])
+    def test_header_only_points_csv_names_file(self, tmp_path, capsys, command):
+        out = tmp_path / "hollow"
+        self.write_box_dir(out, "x1,x2\n")
+        assert main([command, "--out", str(out)]) == 1
+        assert "points.csv holds no points" in capsys.readouterr().err
 
     def test_verify_all_sound(self, tmp_path):
         _, out = construct_box(tmp_path)
@@ -236,3 +349,15 @@ class TestDeterminism:
         ) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["spec"]["seed"] == 99
+
+    def test_packing_artifacts_match_golden_digests(self, tmp_path):
+        cfg_path = write_config(tmp_path / "packing.json", README_PACKING_CONFIG)
+        out = tmp_path / "pack"
+        assert main(["construct-packing", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["estimate", "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())
+        }
+        assert digests == README_PACKING_SHA256

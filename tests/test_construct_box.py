@@ -3,6 +3,7 @@ import pytest
 
 import furst
 from furst.errors import InvalidParameter, InvalidScale, ResourceCap
+from furst.util import min_pairwise_distance
 
 THIRDS = furst.CantorSpec(3, (0, 2))
 
@@ -15,25 +16,25 @@ def small_spec(**overrides):
 
 class TestDirections:
     def test_single_direction_is_first_shell_point(self):
-        seq = furst.make_directions(2, 1, 0)
+        seq = furst.make_directions(2, 1)
         angle = np.arctan2(seq.vectors[0, 1], seq.vectors[0, 0])
         assert angle == pytest.approx(2.0**-2)
 
     def test_all_within_first_shell_distance(self):
-        seq = furst.make_directions(2, 50, 0)
+        seq = furst.make_directions(2, 50)
         base = seq.base.vector
         for v in seq.vectors:
             assert furst.projection_distance(v, base) <= 2.0**-1
 
     def test_distinct_and_shells_recorded(self):
-        seq = furst.make_directions(2, 40, 0)
+        seq = furst.make_directions(2, 40)
         assert len({tuple(v) for v in seq.vectors}) == 40
         assert [s[0] for s in seq.shells] == [1, 2, 3, 4]
 
     def test_angle_set_dimension(self):
         # grid-count oracle on the angle values; the densified net resolves
         # dimension d-1 = 1 over the tested window
-        seq = furst.make_directions(2, 2048, 0, density=10)
+        seq = furst.make_directions(2, 2048, density=10)
         angles = np.array(
             [np.arctan2(v[1], v[0]) for v in seq.vectors]
         ).reshape(-1, 1)
@@ -42,7 +43,7 @@ class TestDirections:
         assert report.slope == pytest.approx(1.0, abs=0.2)
 
     def test_three_dimensional_directions(self):
-        seq = furst.make_directions(3, 30, 0)
+        seq = furst.make_directions(3, 30)
         base = seq.base.vector
         norms = np.linalg.norm(seq.vectors, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
@@ -52,27 +53,27 @@ class TestDirections:
 
 class TestTranslations:
     def test_beta_half_is_harmonic(self):
-        seq = furst.make_translations(2, 0.5, 100, 0)
+        seq = furst.make_translations(2, 0.5, 100)
         assert np.allclose(seq.vectors[:, 0], 0.0)
         assert np.allclose(seq.vectors[:, 1], 1.0 / np.arange(1, 101))
 
     def test_beta_third_exponent(self):
-        seq = furst.make_translations(2, 1 / 3, 100, 0)
+        seq = furst.make_translations(2, 1 / 3, 100)
         assert np.allclose(seq.vectors[:, 1], np.arange(1, 101, dtype=float) ** -2)
 
     def test_single_translation(self):
-        seq = furst.make_translations(2, 0.8, 1, 0)
+        seq = furst.make_translations(2, 0.8, 1)
         assert seq.vectors.shape == (1, 2)
         assert seq.vectors[0, 1] > 0
 
     def test_orthogonal_and_bounded(self):
         for beta in (0.3, 1.0):
-            seq = furst.make_translations(3, beta, 50, 0)
+            seq = furst.make_translations(3, beta, 50)
             assert np.all(np.abs(seq.vectors[:, 0]) < 1e-15)
             assert np.linalg.norm(seq.vectors, axis=1).max() <= np.sqrt(2) + 1e-12
 
     def test_harmonic_dimension_estimate(self):
-        seq = furst.make_translations(2, 0.5, 100, 0)
+        seq = furst.make_translations(2, 0.5, 100)
         vals = seq.vectors[:, 1].reshape(-1, 1)
         cloud = furst.PointCloud(vals, 2.0**-14)
         report = furst.estimate_dimension(cloud, [2.0**-j for j in range(1, 14)])
@@ -80,9 +81,9 @@ class TestTranslations:
 
     def test_invalid_beta(self):
         with pytest.raises(InvalidParameter):
-            furst.make_translations(2, 0.0, 10, 0)
+            furst.make_translations(2, 0.0, 10)
         with pytest.raises(InvalidParameter):
-            furst.make_translations(2, 1.5, 10, 0)
+            furst.make_translations(2, 1.5, 10)
 
 
 class TestBuildPoints:
@@ -95,8 +96,8 @@ class TestBuildPoints:
         spec = small_spec(M=3, N=3, depth=3)
         cloud = furst.build_points(spec)
         rows = {tuple(np.round(p, 12)) for p in cloud.points}
-        dirs = furst.make_directions(2, 3, 7)
-        trans = furst.make_translations(2, 0.5, 3, 7)
+        dirs = furst.make_directions(2, 3)
+        trans = furst.make_translations(2, 0.5, 3)
         endpoints = furst.points_at_depth(THIRDS, 3)
         for m in range(1, 4):
             for n in range(1, 4):
@@ -122,7 +123,7 @@ class TestBuildPoints:
         assert spec.collapsed
         cloud = furst.build_points(spec)
         assert len(cloud) == 4 * 2**4
-        dirs = furst.make_directions(2, 4, 7)
+        dirs = furst.make_directions(2, 4)
         endpoints = furst.points_at_depth(THIRDS, 4)
         expected = {
             tuple(np.round(2.0**-n * e * dirs.vectors[n - 1], 14))
@@ -201,9 +202,9 @@ class TestBuildLines:
         # translation-set count
         spec = small_spec()
         cloud = furst.build_points(spec)
-        trans = furst.make_translations(2, 0.5, 6, 7)
+        trans = furst.make_translations(2, 0.5, 6)
         tcloud = furst.PointCloud(trans.vectors, 1e-9)
-        dirs = furst.make_directions(2, 6, 7)
+        dirs = furst.make_directions(2, 6)
         endpoints = furst.points_at_depth(THIRDS, 6)
         copy = furst.PointCloud(
             2.0**-2 * np.outer(endpoints, dirs.vectors[0]) + trans.vectors[0],
@@ -213,6 +214,41 @@ class TestBuildLines:
             total = furst.grid_count(cloud, delta)
             assert total >= furst.grid_count(tcloud, delta)
             assert total >= furst.grid_count(copy, delta)
+
+    def test_floor_positive_for_symmetric_3d_translations(self):
+        # beta = 2 splits into two unit parts whose product sequence is
+        # symmetric, so sorted translation norms repeat; the floor must
+        # come from the exact minimum gap, 5.318e-4
+        spec = furst.BoxSharpSpec(
+            d=3, cantor=THIRDS, t=4.0, M=5000, N=1, depth=1, seed=7
+        )
+        family = furst.build_lines(spec)
+        u = furst.make_translations(3, spec.beta, spec.M).vectors
+        gap = min(
+            float(np.linalg.norm(u[i + 1 :] - u[i], axis=-1).min())
+            for i in range(len(u) - 1)
+        )
+        assert gap == pytest.approx(5.318e-4, rel=1e-3)
+        assert family.resolution_floor == 4.0 * 0.5 * gap
+
+
+class TestMinPairwiseDistance:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_distance_matrix_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(0, 41)), int(rng.integers(1, 5))
+        # values drawn from a small set make ties and duplicate rows common
+        pts = np.where(
+            rng.random((n, d)) < 0.5,
+            rng.choice([0.0, 0.5, -1.0, 1e-3, 0.25], size=(n, d)),
+            rng.uniform(-4.0, 4.0, size=(n, d)),
+        )
+        if n < 2:
+            assert min_pairwise_distance(pts) == np.inf
+            return
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        dist[np.diag_indices(len(dist))] = np.inf
+        assert min_pairwise_distance(pts) == float(dist.min())
 
 
 class TestDyadicIndices:

@@ -11,6 +11,8 @@ from furst.construct_packing import (
 from furst.errors import DegenerateStep, InvalidParameter, NotInFamily
 
 DEMO_ETAS = (1.0, 1 / 16, 1 / 256, 1 / 4096)
+# eta_{k+1} < eta_k^2, so both step factors exceed 1 for d=2, s=1/2, t=1
+GROWING_ETAS = (1.0, 1 / 16, 2.0**-10, 2.0**-24)
 
 
 def demo_schedule():
@@ -168,6 +170,18 @@ class TestRunAlternating:
             else:
                 realized = states[k + 1].num_marks / states[k].num_marks
                 assert fm / 16 <= realized <= fm * 16
+
+    def test_growing_trajectory(self):
+        states = furst.run_alternating(
+            2, 0.5, 1.0, furst.ScaleSchedule(GROWING_ETAS, mode="demo")
+        )
+        counts = [(st.num_lines, st.num_marks) for st in states]
+        assert counts == [(1, 1), (16, 16), (16, 48), (240, 720)]
+        for prev, nxt in zip(states, states[1:]):
+            if nxt.history[-1] == OPTION_LINES:
+                assert nxt.num_lines / prev.num_lines > 1
+            else:
+                assert nxt.num_marks / prev.num_marks > 1
 
     def test_separations_hold(self):
         states = furst.run_alternating(2, 0.5, 1.0, demo_schedule())

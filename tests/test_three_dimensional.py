@@ -50,7 +50,7 @@ class TestBoxConstruction3D:
             assert cert.bound <= 3**3 * furst.grid_count(cloud, delta)
 
     def test_product_translations_reach_both_axes(self):
-        seq = furst.make_translations(3, 1.5, 20, 0)
+        seq = furst.make_translations(3, 1.5, 20)
         # beta = 1.5 splits as 1.0 + 0.5 over the two orthocomplement axes
         assert np.all(seq.vectors[:, 0] == 0.0)
         assert (seq.vectors[:, 1] > 0).any()
