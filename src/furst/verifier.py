@@ -137,7 +137,7 @@ def pigeonhole_extract(
         raise InvalidParameter("cannot extract from an empty family")
     if len(cloud) == 0:
         raise InconsistentInput("cloud is empty; no line can intersect it")
-    radius = float(np.linalg.norm(cloud.points, axis=1).max())
+    radius = cloud.radius
     margin = 4.0 * delta - 2.0 * max(1.0, radius) * math.tan(delta)
     if margin < delta:
         raise InvalidScale(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,13 @@ class TestEstimateDimension:
         with pytest.raises(InsufficientData):
             furst.estimate_dimension(cloud, [0.5, 0.25])
 
+    def test_empty_cloud_rejected(self):
+        cloud = furst.PointCloud(np.empty((0, 2)), 1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData):
+                furst.estimate_dimension(cloud, [0.5, 0.25, 0.125])
+
     def test_floor_enforced(self):
         cloud = furst.PointCloud([[0.0]], 0.01)
         with pytest.raises(StaleResolution):
@@ -160,3 +169,19 @@ class TestCoverReportInvariants:
             furst.PointCloud([[0.0, 0.0]], 0.0)
         with pytest.raises(InvalidScale):
             furst.grid_count(furst.PointCloud([[0.0]], 1e-12), -0.5)
+
+    def test_zero_column_cloud_rejected(self):
+        # [] used to become one point in zero dimensions, counted as 1
+        for pts in ([], [[]], np.empty((0, 0)), np.empty((3, 0))):
+            with pytest.raises(InvalidParameter):
+                furst.PointCloud(pts, 1e-9)
+        empty = furst.PointCloud(np.empty((0, 2)), 1e-9)
+        assert len(empty) == 0 and empty.dim == 2
+        assert furst.grid_count(empty, 0.5) == 0
+
+    def test_cached_values_match_their_expressions(self):
+        pts = np.random.default_rng(4).normal(size=(1000, 3))
+        cloud = furst.PointCloud(pts, 1e-9)
+        assert np.array_equal(cloud.column_bounds, [pts.min(axis=0), pts.max(axis=0)])
+        assert cloud.radius == float(np.linalg.norm(pts, axis=1).max())
+        assert cloud.radius is cloud.radius
