@@ -14,6 +14,10 @@ from .errors import (
 from .util import snap_floor, write_csv, write_json
 
 
+COUNT_BLOCK_ROWS = 16_384  # rows snapped per block, so temporaries stay in cache
+TABLE_BYTES_PER_CODE = 8  # a table of span <= 8 * n bytes is no larger than n int64 codes
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Finite set of points plus the scale down to which it is faithful.
@@ -60,28 +64,37 @@ class PointCloud:
 
     @cached_property
     def radius(self) -> float:
-        """Largest Euclidean norm of a point (needs a point)."""
-        return float(np.linalg.norm(self.points, axis=1).max())
+        """Largest Euclidean norm of a point (needs a point).
+
+        Reduced COUNT_BLOCK_ROWS rows at a time: each row's norm is the
+        same, and the temporaries stay small.
+        """
+        blocks = range(0, len(self), COUNT_BLOCK_ROWS)
+        return max(
+            float(np.linalg.norm(self.points[start : start + COUNT_BLOCK_ROWS], axis=1).max())
+            for start in blocks
+        )
 
     def translated(self, offset) -> "PointCloud":
         return PointCloud(self.points + np.asarray(offset, dtype=float),
                           self.resolution_floor)
 
 
-COUNT_BLOCK_ROWS = 16_384  # rows snapped per block, so temporaries stay in cache
-TABLE_BYTES_PER_CODE = 8  # a table of span <= 8 * n bytes is no larger than n int64 codes
+def fits_table(n: int, span: int) -> bool:
+    """True when n codes in [0, span) are dense enough for a table of span entries."""
+    return span <= TABLE_BYTES_PER_CODE * n
 
 
 def count_distinct(code_blocks, n: int, span: int) -> int:
     """Number of distinct values among n int64 codes in [0, span).
 
-    The codes arrive as an iterable of arrays.  When span <= 8 * n the
-    codes are marked in a boolean occupancy table of span bytes, O(n +
-    span) time with no sort; the table is never larger than the n int64
-    codes it stands in for.  Sparser codes are gathered and sorted by one
-    np.unique, O(n log n).
+    The codes arrive as an iterable of arrays.  When span <= 8 * n
+    (`fits_table`) the codes are marked in a boolean occupancy table of
+    span bytes, O(n + span) time with no sort; the table is never larger
+    than the n int64 codes it stands in for.  Sparser codes are gathered
+    and sorted by one np.unique, O(n log n).
     """
-    if span <= TABLE_BYTES_PER_CODE * n:
+    if fits_table(n, span):
         seen = np.zeros(span, dtype=bool)
         for codes in code_blocks:
             seen[codes] = True

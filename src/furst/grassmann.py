@@ -11,10 +11,11 @@ covering numbers of line families.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .boxcount import count_distinct
+from .boxcount import COUNT_BLOCK_ROWS, count_distinct
 from .errors import InvalidParameter, InvalidScale, StaleResolution
 from .util import derive_seed, snap_floor
 
@@ -183,14 +184,14 @@ class DirectionCover:
         """Bucket index for each row of `unit_vectors`."""
         vecs = np.atleast_2d(unit_vectors)
         if self.angle_width is not None:
-            theta = np.arctan2(vecs[:, 1], vecs[:, 0]) % np.pi
-            idx = np.minimum(
-                (theta / self.angle_width).astype(np.int64), len(self) - 1
-            )
-            return idx
+            return self.angle_buckets(np.arctan2(vecs[:, 1], vecs[:, 0]) % np.pi)
         # nearest center by max |cos|, i.e. min projection distance
         cos = np.abs(vecs @ self.centers.T)
         return np.argmax(cos, axis=1)
+
+    def angle_buckets(self, theta: np.ndarray) -> np.ndarray:
+        """Planar bucket index of each canonical angle in [0, pi)."""
+        return np.minimum((theta / self.angle_width).astype(np.int64), len(self) - 1)
 
     def frame(self, bucket: int) -> np.ndarray:
         """Orthonormal frame of the bucket center's orthocomplement."""
@@ -284,13 +285,15 @@ class LineFamily:
             raise InvalidParameter("directions/translations shape mismatch")
         if resolution_floor <= 0:
             raise InvalidParameter("resolution floor must be positive")
+        # written so that a nan or infinite entry fails the test
         norms = np.linalg.norm(dirs, axis=1)
-        if dirs.shape[0] and np.any(np.abs(norms - 1.0) > 1e-9):
-            raise InvalidParameter("directions must be unit vectors")
-        if dirs.shape[0]:
-            inner = np.abs(np.einsum("ij,ij->i", dirs, trans))
-            if np.any(inner > 1e-9):
-                raise InvalidParameter("translations must be orthogonal to directions")
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
+            raise InvalidParameter("directions must be finite unit vectors")
+        inner = np.abs(np.einsum("ij,ij->i", dirs, trans))
+        if not np.all(inner <= 1e-9):
+            raise InvalidParameter(
+                "translations must be finite and orthogonal to directions"
+            )
         dirs.setflags(write=False)
         trans.setflags(write=False)
         object.__setattr__(self, "directions", dirs)
@@ -315,6 +318,18 @@ class LineFamily:
     @property
     def dim(self) -> int:
         return self.directions.shape[1]
+
+    # the arrays are read-only private copies, so values derived from them
+    # can be computed on first use and kept
+
+    @cached_property
+    def angles(self) -> np.ndarray:
+        """Canonical angle in [0, pi) of every direction (d=2 only)."""
+        if self.dim != 2:
+            raise InvalidParameter("angles are defined for d=2 only")
+        theta = np.arctan2(self.directions[:, 1], self.directions[:, 0]) % np.pi
+        theta.setflags(write=False)
+        return theta
 
 
 @dataclass(frozen=True)
@@ -345,27 +360,64 @@ def mesh_assign(family: LineFamily, delta: float, cover: DirectionCover | None =
     The translation is expressed in the bucket center's orthocomplement
     frame and binned by the 4*delta mesh anchored at 0.  Returns
     (bucket indices (n,), cell coordinates (n, d-1) int array, cover).
+
+    Cost per scale for d=2: each line's angle is computed once per family
+    (`LineFamily.angles`) and each bucket centre's sine and cosine once per
+    cover, so a scale costs one division, two table reads and one snap per
+    line, COUNT_BLOCK_ROWS lines at a time.  For d>=3 every direction is
+    compared with every cover centre, O(n * k), and the translations are
+    projected bucket by bucket.
     """
     if cover is None:
         cover = direction_cover(family.dim, delta)
     n = len(family)
-    buckets = cover.assign(family.directions) if n else np.empty(0, np.int64)
     cells = np.zeros((n, family.dim - 1), dtype=np.int64)
     width = 4.0 * delta
     if n and cover.angle_width is not None:
         # planar fast path: the frame of an angle-phi center is (-sin, cos)
-        angles = (buckets.astype(float) + 0.5) * cover.angle_width
-        coord = (
-            -family.translations[:, 0] * np.sin(angles)
-            + family.translations[:, 1] * np.cos(angles)
-        )
-        cells[:, 0] = snap_floor(coord, width)
+        phi = (np.arange(len(cover)) + 0.5) * cover.angle_width
+        sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+        theta, trans = family.angles, family.translations
+        buckets = np.empty(n, dtype=np.int64)
+        for start in range(0, n, COUNT_BLOCK_ROWS):
+            rows = slice(start, start + COUNT_BLOCK_ROWS)
+            b = buckets[rows] = cover.angle_buckets(theta[rows])
+            coord = -trans[rows, 0] * sin_phi[b]
+            coord += trans[rows, 1] * cos_phi[b]
+            cells[rows, 0] = snap_floor(coord, width)
     elif n:
+        buckets = cover.assign(family.directions)
         for b in np.unique(buckets):
             sel = buckets == b
             coords = family.translations[sel] @ cover.frame(int(b)).T
             cells[sel] = snap_floor(coords, width)
+    else:
+        buckets = np.empty(0, np.int64)
     return buckets, cells, cover
+
+
+def mesh_codes(buckets: np.ndarray, cells: np.ndarray):
+    """One int64 code per line for its (bucket, cell), or None if too fine.
+
+    Codes are mixed-radix numbers with the bucket as the leading digit and
+    the cell coordinates, each offset by its minimum, as the next ones, so
+    ascending codes order lines by bucket and then by cell in lexicographic
+    order.  Returns (codes, span) with every code in [0, span), or None when
+    the code range would reach 2**62.
+    """
+    codes = buckets.copy()
+    for c in range(cells.shape[1]):
+        col = cells[:, c]
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if float(codes.max() + 1) * float(span) >= 2**62:
+            return None
+        # in place; int64 arithmetic wraps mod 2**64, so the intermediate
+        # codes * span + col may wrap but the result lies in [0, 2**62)
+        codes *= span
+        codes += col
+        codes -= lo
+    return codes, int(codes.max()) + 1
 
 
 def mesh_cover_count(family: LineFamily, delta: float) -> int:
@@ -375,9 +427,10 @@ def mesh_cover_count(family: LineFamily, delta: float) -> int:
     against 1/delta estimates the family's box dimension.
 
     Cost per scale: `mesh_assign` plus `boxcount.count_distinct` over one
-    packed (bucket, cell) code per line.  While the code range is at most
-    8 * n the occupied products are marked in a table of at most 8 * n
-    bytes, O(n + range); above that the codes are sorted, O(n log n).
+    packed (bucket, cell) code per line (`mesh_codes`).  While the code
+    range is at most 8 * n the occupied products are marked in a table of
+    at most 8 * n bytes, O(n + range); above that the codes are sorted,
+    O(n log n).
     """
     if not (0.0 < delta <= 1.0):
         raise InvalidScale(f"mesh scale must lie in (0, 1], got {delta}")
@@ -390,13 +443,8 @@ def mesh_cover_count(family: LineFamily, delta: float) -> int:
             f"{family.resolution_floor:.3e}"
         )
     buckets, cells, _ = mesh_assign(family, delta)
-    # pack (bucket, cell coords) into a single integer code per line
-    codes = buckets.copy()
-    for c in range(cells.shape[1]):
-        col = cells[:, c]
-        lo = col.min()
-        span = col.max() - lo + 1
-        if float(codes.max() + 1) * float(span) >= 2**62:
-            raise InvalidScale("mesh too fine to index at this scale")
-        codes = codes * span + (col - lo)
-    return count_distinct([codes], len(codes), int(codes.max()) + 1)
+    packed = mesh_codes(buckets, cells)
+    if packed is None:
+        raise InvalidScale("mesh too fine to index at this scale")
+    codes, span = packed
+    return count_distinct([codes], len(codes), span)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxcount import PointCloud
+from .boxcount import COUNT_BLOCK_ROWS, PointCloud, fits_table
 from .errors import (
     InconsistentInput,
     InvalidParameter,
@@ -19,11 +19,12 @@ from .errors import (
     InvalidWitness,
     SoundnessViolation,
 )
-from .grassmann import LineFamily, mesh_assign, metric_d1
+from .grassmann import LineFamily, _gram_schmidt_frame, mesh_assign, mesh_codes, metric_d1
 from .util import min_pairwise_distance, snap_floor
 
 THINNING_SEPARATION = 4.0  # translations thinned to >= 4*delta apart
 TWO_POINT_CONSTANT = 16.0  # documented constant C in the bound floor
+WITNESS_SLACK_EPS = 16.0  # prefilter slack, in units of d^2 * eps * scale (see _witness_on_line)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,24 +67,53 @@ def _check_witnesses(witnesses: np.ndarray, delta: float, context: str):
         )
 
 
-def _witness_on_line(family, idx, cloud, tol, chunk=1_000_000) -> np.ndarray:
+def _line_distances(points: np.ndarray, v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Distance from each row of `points` to the line a + R v: the exact test."""
+    rel = points - a
+    perp = rel - np.outer(rel @ v, v)
+    return np.linalg.norm(perp, axis=1)
+
+
+def _witness_on_line(family, idx, cloud, tol) -> np.ndarray:
     """First cloud point (lowest index) within `tol` of line `idx`.
 
-    Scans in chunks with early exit; raises InconsistentInput when the
-    whole cloud misses the line.
+    Scans COUNT_BLOCK_ROWS points at a time with early exit.  Each block is
+    first prefiltered by one matrix-vector product with an orthonormal frame
+    F of the line's normal space: a row p is kept when every coordinate of
+    |p F - a F| is at most tol + slack.  In exact arithmetic each coordinate
+    is at most the distance the exact test computes (also when the stored
+    direction is off unit length by the family's 1e-9 allowance), and each
+    side is computed with an error of at most about (d^1.5 + 3d) units of
+    rounding times M = cloud radius + |a| + tol; slack = 16 d^2 eps M covers
+    both with room for F's few-ulp orthogonality error, so the prefilter
+    drops no row the exact test would accept.  The exact test then runs on
+    the kept rows only, so the returned row is the one a full scan returns.
+
+    Cost: one product and one comparison per scanned point, plus the exact
+    test on the few rows near the line; the scan stops at the first hit.
+    When the whole cloud misses the line, the exact distances are computed
+    once more to report the nearest one, and InconsistentInput is raised.
     """
     v = family.directions[idx]
     a = family.translations[idx]
+    frame = _gram_schmidt_frame(v / np.linalg.norm(v))
+    offset = frame @ a
+    scale = cloud.radius + float(np.linalg.norm(a)) + tol
+    limit = tol + WITNESS_SLACK_EPS * v.size**2 * np.finfo(float).eps * scale
+    for start in range(0, len(cloud), COUNT_BLOCK_ROWS):
+        block = cloud.points[start : start + COUNT_BLOCK_ROWS]
+        proj = block @ frame.T
+        proj -= offset
+        np.abs(proj, out=proj)
+        near = np.flatnonzero(proj.max(axis=1) <= limit)
+        if near.size:
+            hits = np.flatnonzero(_line_distances(block[near], v, a) <= tol)
+            if hits.size:
+                return block[near[hits[0]]]
     nearest = np.inf
-    for start in range(0, len(cloud), chunk):
-        block = cloud.points[start : start + chunk]
-        rel = block - a
-        perp = rel - np.outer(rel @ v, v)
-        dist = np.linalg.norm(perp, axis=1)
-        hits = np.flatnonzero(dist <= tol)
-        if hits.size:
-            return block[hits[0]]
-        nearest = min(nearest, float(dist.min()))
+    for start in range(0, len(cloud), COUNT_BLOCK_ROWS):
+        block = cloud.points[start : start + COUNT_BLOCK_ROWS]
+        nearest = min(nearest, float(_line_distances(block, v, a).min()))
     raise InconsistentInput(
         f"line {idx} has no cloud point within tolerance {tol:.3e} "
         f"(nearest at {nearest:.3e}); the intersection hypothesis fails"
@@ -103,6 +133,37 @@ def _greedy_thin(points: np.ndarray, order: np.ndarray, sep: float) -> list[int]
         if ok:
             kept.append(int(i))
     return kept
+
+
+def _cell_representatives(buckets: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Lowest line index of every occupied (bucket, cell) product.
+
+    Returned in ascending (bucket, cell coordinates) order, the order of the
+    packed codes of `grassmann.mesh_codes`.  When the code range passes
+    `boxcount.fits_table` each code's lowest line index is recorded in a
+    table of span int64 entries, COUNT_BLOCK_ROWS lines at a time, O(n +
+    span); otherwise (also when the codes would reach 2**62) one stable
+    sort orders the lines by bucket and cell coordinates and the first line
+    of each run is kept, O(n log n).
+    """
+    n = len(buckets)
+    packed = mesh_codes(buckets, cells)
+    if packed is not None and fits_table(n, packed[1]):
+        codes, span = packed
+        first = np.full(span, n, dtype=np.int64)
+        for start in range(0, n, COUNT_BLOCK_ROWS):
+            stop = min(n, start + COUNT_BLOCK_ROWS)
+            np.minimum.at(first, codes[start:stop], np.arange(start, stop))
+        return first[first < n]
+    # np.lexsort sorts by its last key first and keeps equal keys in line order
+    keys = [cells[:, c] for c in range(cells.shape[1] - 1, -1, -1)] + [buckets]
+    order = np.lexsort(keys)
+    new_run = np.zeros(n, dtype=bool)
+    new_run[0] = True
+    for key in keys:
+        ordered = key[order]
+        new_run[1:] |= ordered[1:] != ordered[:-1]
+    return order[new_run]
 
 
 def pigeonhole_extract(
@@ -125,6 +186,14 @@ def pigeonhole_extract(
     The bucket is chosen to maximize the post-thinning count (lowest
     index on ties), which keeps the certified bound monotone under family
     enlargement.
+
+    Cost per scale: `mesh_assign`; one pass over the packed (bucket, cell)
+    codes that picks each occupied cell's lowest line, through a table while
+    the codes are dense and one stable sort otherwise
+    (`_cell_representatives`); a greedy thinning of each bucket's
+    candidates, quadratic in the lines kept; and one prefiltered scan of the
+    cloud per kept line, stopping at the line's first point
+    (`_witness_on_line`).
     """
     if not (0.0 < delta <= 0.5):
         raise InvalidScale(
@@ -149,31 +218,19 @@ def pigeonhole_extract(
     tol = max(cloud.resolution_floor, 1e-12) if tol is None else float(tol)
 
     buckets, cells, _ = mesh_assign(family, delta)
+    cands = _cell_representatives(buckets, cells)
     sep = THINNING_SEPARATION * delta
     best_kept: list[int] = []
     best_bucket = -1
     best_cells = 0
-    # group lines by bucket via one stable sort
-    order_all = np.argsort(buckets, kind="stable")
-    sorted_buckets = buckets[order_all]
-    group_starts = np.concatenate(
-        [[0], np.flatnonzero(np.diff(sorted_buckets)) + 1, [len(sorted_buckets)]]
-    )
-    for g in range(len(group_starts) - 1):
-        sel = order_all[group_starts[g] : group_starts[g + 1]]
-        b = sorted_buckets[group_starts[g]]
-        cell_rows = cells[sel]
-        # one candidate line per occupied cell: lowest line index wins
-        _, first = np.unique(cell_rows, axis=0, return_index=True)
-        cands = sel[np.sort(first)]
-        lex = np.lexsort(
-            tuple(cells[cands][:, c] for c in range(cells.shape[1] - 1, -1, -1))
-        )
-        kept = _greedy_thin(family.translations, cands[lex], sep)
+    # candidates come bucket by bucket, each bucket's cells in lexicographic order
+    groups = np.flatnonzero(np.diff(buckets[cands])) + 1
+    for group in np.split(cands, groups):
+        kept = _greedy_thin(family.translations, group, sep)
         if len(kept) > len(best_kept):
             best_kept = kept
-            best_bucket = int(b)
-            best_cells = len(cands)
+            best_bucket = int(buckets[group[0]])
+            best_cells = len(group)
 
     witnesses = []
     for idx in best_kept:

@@ -1,4 +1,5 @@
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -180,8 +181,13 @@ class TestCoverReportInvariants:
         assert furst.grid_count(empty, 0.5) == 0
 
     def test_cached_values_match_their_expressions(self):
-        pts = np.random.default_rng(4).normal(size=(1000, 3))
-        cloud = furst.PointCloud(pts, 1e-9)
-        assert np.array_equal(cloud.column_bounds, [pts.min(axis=0), pts.max(axis=0)])
-        assert cloud.radius == float(np.linalg.norm(pts, axis=1).max())
-        assert cloud.radius is cloud.radius
+        # around the 16,384-row blocks the radius is reduced in, with the
+        # farthest point anywhere, then last, then last in the first block
+        for rows, far in product((1, 1000, 16_384, 16_385, 100_000), (None, -1, 16_383)):
+            pts = np.random.default_rng(rows).normal(size=(rows, 3))
+            if far is not None and rows > abs(far):
+                pts[far] = 10.0
+            cloud = furst.PointCloud(pts, 1e-9)
+            assert np.array_equal(cloud.column_bounds, [pts.min(axis=0), pts.max(axis=0)])
+            assert cloud.radius == float(np.linalg.norm(pts, axis=1).max())
+            assert cloud.radius is cloud.radius

@@ -237,14 +237,10 @@ class TestEstimateVerifyReport:
         certs = json.loads((out / "certificates.json").read_text())
         assert all(c["sound"] for c in certs["certificates"])
 
-    def test_verify_missing_point_reports_inconsistent(self, tmp_path, capsys):
-        # two parallel lines, far apart; the second has no cloud point
-        out = tmp_path / "adv"
+    def write_box_outputs(self, out, lines):
         out.mkdir()
         (out / "points.csv").write_text("x1,x2\n0.3,0.0\n")
-        (out / "lines.csv").write_text(
-            "dir1,dir2,trans1,trans2\n1.0,0.0,0.0,0.0\n1.0,0.0,0.0,0.5\n"
-        )
+        (out / "lines.csv").write_text("dir1,dir2,trans1,trans2\n" + lines)
         (out / "manifest.json").write_text(
             json.dumps(
                 {
@@ -255,9 +251,21 @@ class TestEstimateVerifyReport:
                 }
             )
         )
+
+    def test_verify_missing_point_reports_inconsistent(self, tmp_path, capsys):
+        # two parallel lines, far apart; the second has no cloud point
+        out = tmp_path / "adv"
+        self.write_box_outputs(out, "1.0,0.0,0.0,0.0\n1.0,0.0,0.0,0.5\n")
         code = main(["verify", "--out", str(out), "--scales", "0.01,0.005"])
         assert code == 1
         assert "no cloud point" in capsys.readouterr().err
+
+    def test_verify_nonfinite_line_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "adv"
+        self.write_box_outputs(out, "nan,0.0,0.0,0.0\n1.0,0.0,0.0,0.5\n")
+        code = main(["verify", "--out", str(out), "--scales", "0.01,0.005"])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_packing_estimate_exponent_cap(self, tmp_path):
         # the K = 3 demo trajectory keeps its mark exponent under

@@ -144,6 +144,28 @@ class TestDirectionCover:
         assert np.array_equal(a, b)
 
 
+class TestLineFamily:
+    def test_nonfinite_entries_rejected(self):
+        for dirs, trans in (
+            ([[np.nan, 0.0]], [[0.0, 0.0]]),
+            ([[np.inf, 0.0]], [[0.0, 0.0]]),
+            ([[1.0, 0.0]], [[0.0, np.nan]]),
+            ([[1.0, 0.0]], [[np.inf, 0.0]]),
+            ([[0.6, 0.8]], [[-np.inf, np.inf]]),
+        ):
+            with pytest.raises(InvalidParameter, match="finite"):
+                furst.LineFamily(dirs, trans, 1e-9)
+
+    def test_angles_are_cached_canonical_angles(self):
+        dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 1e-17], [0.6, -0.8]])
+        fam = furst.LineFamily(dirs, np.zeros_like(dirs), 1e-9)
+        assert np.array_equal(fam.angles, np.arctan2(dirs[:, 1], dirs[:, 0]) % np.pi)
+        assert np.all((fam.angles >= 0) & (fam.angles < np.pi))
+        assert fam.angles is fam.angles and not fam.angles.flags.writeable
+        with pytest.raises(InvalidParameter):
+            furst.LineFamily([[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]], 1e-9).angles
+
+
 class TestMeshCoverCount:
     def fam(self, lines, floor=1e-9):
         return furst.LineFamily.from_lines(lines, floor)

@@ -2,7 +2,9 @@
 
 `grid_count` and `mesh_cover_count` count distinct cell codes with a dense
 occupancy table or, for sparse codes, one np.unique.  The references below
-are the plain forms: snap every point, pack every code, sort them all.
+are the plain forms: snap every point, pack every code, sort them all; the
+line mesh itself is pinned to `line_reference.mesh_assign`, which computes
+every line's angle, sine and cosine at each call.
 """
 
 from unittest import mock
@@ -13,10 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import furst
-from furst import boxcount
+from furst import boxcount, grassmann
 from furst.errors import InvalidScale
-from furst.grassmann import mesh_assign
 from furst.util import snap_floor
+
+import line_reference
 
 DELTAS = [2.0**-j for j in range(1, 13)] + [0.3, 0.1, 1 / 27, 3.0**-5 * np.sqrt(2)]
 
@@ -38,7 +41,7 @@ def reference_grid_count(points, delta):
 
 
 def reference_mesh_count(family, delta):
-    buckets, cells, _ = mesh_assign(family, delta)
+    buckets, cells = line_reference.mesh_assign(family, delta)
     codes = buckets.copy()
     for c in range(cells.shape[1]):
         col = cells[:, c]
@@ -158,6 +161,77 @@ def planar_family(angles, offsets):
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     normals = np.column_stack([-np.sin(angles), np.cos(angles)])
     return furst.LineFamily(dirs, normals * np.asarray(offsets)[:, None], 1e-300)
+
+
+MESH_DELTAS = [2.0**-j for j in range(0, 14)] + [0.3, 0.1]
+
+
+@st.composite
+def planar_lines(draw, delta):
+    """Angles on and one ulp either side of bucket edges, exactly 0, just
+    below pi (also as small negative angles) and arbitrary; offsets on and
+    1e-12 either side of 4*delta cell boundaries, and arbitrary."""
+    cover = furst.direction_cover(2, delta)
+    edge = st.integers(0, len(cover)).map(lambda m: m * cover.angle_width)
+    angle = st.one_of(
+        edge,
+        st.tuples(edge, st.sampled_from([-np.inf, np.inf])).map(lambda e: np.nextafter(*e)),
+        st.sampled_from([0.0, -0.0, -1e-300, -1e-17, np.nextafter(np.pi, 0.0), np.pi]),
+        st.floats(0.0, np.pi, exclude_max=True),
+    )
+    boundary = st.integers(-40, 40).map(lambda k: k * 4.0 * delta)
+    offset = st.one_of(
+        boundary,
+        st.tuples(boundary, st.sampled_from([-1e-12, 1e-12])).map(sum),
+        st.floats(-2.0, 2.0),
+    )
+    n = draw(st.integers(1, 40))
+    return (draw(st.lists(angle, min_size=n, max_size=n)),
+            draw(st.lists(offset, min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MESH_DELTAS).flatmap(lambda d: st.tuples(st.just(d), planar_lines(d))),
+       st.sampled_from([7, grassmann.COUNT_BLOCK_ROWS]))
+def test_mesh_assign_matches_reference_planar(case, block_rows):
+    delta, (angles, offsets) = case
+    family = planar_family(angles, offsets)
+    expected_buckets, expected_cells = line_reference.mesh_assign(family, delta)
+    with mock.patch.object(grassmann, "COUNT_BLOCK_ROWS", block_rows):
+        buckets, cells, _ = grassmann.mesh_assign(family, delta)
+    assert buckets.dtype == expected_buckets.dtype and cells.dtype == expected_cells.dtype
+    assert np.array_equal(buckets, expected_buckets)
+    assert np.array_equal(cells, expected_cells)
+
+
+@pytest.mark.parametrize("delta", MESH_DELTAS)
+def test_mesh_assign_matches_reference_at_snap_thresholds(delta):
+    # lines at bucket-centre angles, in adjacent pairs of offsets where the
+    # reference's cell steps from k to k + 1: a change of one ulp in a
+    # centre's sine or cosine, or in the coordinate, moves one of a pair
+    cover = furst.direction_cover(2, delta)
+    centres = (np.arange(len(cover)) + 0.5) * cover.angle_width
+    inside = np.flatnonzero(centres < np.pi)  # the last centre can pass pi
+    spread = inside[np.unique(np.linspace(0, len(inside) - 1, 9).astype(int))]
+    b, k = (a.ravel() for a in np.meshgrid(spread, np.arange(4)))
+    theta = centres[b]
+
+    def reference_cells(offsets):
+        return line_reference.mesh_assign(planar_family(theta, offsets), delta)[1][:, 0]
+
+    lo = ((k + 0.5) * 4.0 * delta).view(np.int64)  # positive floats order as their bits
+    hi = ((k + 1.5) * 4.0 * delta).view(np.int64)
+    assert np.array_equal(reference_cells(lo.view(float)), k)
+    assert np.array_equal(reference_cells(hi.view(float)), k + 1)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        up = reference_cells(mid.view(float)) > k
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    family = planar_family(np.tile(theta, 2), np.concatenate([lo, hi]).view(float))
+    expected_buckets, expected_cells = line_reference.mesh_assign(family, delta)
+    buckets, cells, _ = grassmann.mesh_assign(family, delta)
+    assert np.array_equal(buckets, expected_buckets)
+    assert np.array_equal(cells, expected_cells)
 
 
 @settings(max_examples=100, deadline=None)
