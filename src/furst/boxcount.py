@@ -15,6 +15,7 @@ from .util import snap_floor, write_csv, write_json
 
 
 COUNT_BLOCK_ROWS = 16_384  # rows snapped per block, so temporaries stay in cache
+PAIRWISE_SUM_COLUMNS = 8  # numpy sums rows this long or longer pairwise
 TABLE_BYTES_PER_CODE = 8  # a table of span <= 8 * n bytes is no larger than n int64 codes
 
 
@@ -66,18 +67,35 @@ class PointCloud:
     def radius(self) -> float:
         """Largest Euclidean norm of a point (needs a point).
 
-        Reduced COUNT_BLOCK_ROWS rows at a time: each row's norm is the
-        same, and the temporaries stay small.
+        Reduced COUNT_BLOCK_ROWS rows at a time, as the root of the largest
+        squared norm (`_squared_norms`): sqrt is monotone and correctly
+        rounded, so that is the largest norm, bit for bit.
         """
         blocks = range(0, len(self), COUNT_BLOCK_ROWS)
-        return max(
-            float(np.linalg.norm(self.points[start : start + COUNT_BLOCK_ROWS], axis=1).max())
+        return float(np.sqrt(max(
+            float(_squared_norms(self.points[start : start + COUNT_BLOCK_ROWS]).max())
             for start in blocks
-        )
+        )))
 
     def translated(self, offset) -> "PointCloud":
         return PointCloud(self.points + np.asarray(offset, dtype=float),
                           self.resolution_floor)
+
+
+def _squared_norms(block: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, the same floats `np.linalg.norm` roots.
+
+    Below PAIRWISE_SUM_COLUMNS columns numpy adds a row's squares left to
+    right, so adding the squared columns one at a time gives the same sums,
+    several times faster than reducing short rows.  From there on numpy
+    sums rows pairwise, and the rows are reduced as it does.
+    """
+    if block.shape[1] >= PAIRWISE_SUM_COLUMNS:
+        return np.add.reduce(block * block, axis=1)
+    sq = block[:, 0] * block[:, 0]
+    for c in range(1, block.shape[1]):
+        sq += block[:, c] * block[:, c]
+    return sq
 
 
 def fits_table(n: int, span: int) -> bool:

@@ -9,6 +9,7 @@ check.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,11 +120,13 @@ class MarkedLineState:
         return LineFamily.from_lines(self.lines, floor or self.eta / 4.0)
 
     def check_separations(self, tol: float = SEPARATION_TOL) -> None:
-        """Exact (to rounding, tolerance `tol` relative) separation checks.
+        """Separation checks, to rounding (tolerance `tol` relative).
 
         Lines pairwise >= eta in the line metric; marks on each line
         pairwise >= eta; every mark on its line.  Raises SoundnessViolation
-        on the first violation.
+        on the first violation.  The mark checks are exhaustive; so is the
+        line check up to 1500 lines, above which `_separation_pairs` checks
+        a sample of line pairs and warns.
         """
         floor = self.eta * (1.0 - tol)
         pairs = _separation_pairs(self.num_lines)
@@ -152,8 +155,9 @@ def _separation_pairs(n: int, exhaustive_limit: int = 1500):
     """Line index pairs to separation-check.
 
     All pairs up to `exhaustive_limit` lines; beyond that, a fixed-seed
-    sample of 10 * n pairs plus all consecutive pairs (documented
-    sampling; exhaustive checking would be quadratic).
+    sample of 10 * n pairs that includes all consecutive pairs (exhaustive
+    checking would be quadratic), with a warning naming the line count and
+    the number of pairs checked.
     """
     if n <= exhaustive_limit:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -163,6 +167,11 @@ def _separation_pairs(n: int, exhaustive_limit: int = 1500):
         i, j = rng.integers(0, n, size=2)
         if i != j:
             sampled.add((min(i, j), max(i, j)))
+    warnings.warn(
+        f"line separation sampled: {len(sampled)} of {n * (n - 1) // 2} pairs "
+        f"of {n} lines checked",
+        stacklevel=3,
+    )
     return sorted(sampled)
 
 

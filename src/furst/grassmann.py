@@ -20,6 +20,7 @@ from .errors import InvalidParameter, InvalidScale, StaleResolution
 from .util import derive_seed, snap_floor
 
 ORTHO_TOL = 1e-12
+ASSIGN_BLOCK_ROWS = 64  # rows compared with every cover centre per block
 
 
 def canonical_vector(v) -> np.ndarray:
@@ -181,13 +182,34 @@ class DirectionCover:
         return self.centers.shape[0]
 
     def assign(self, unit_vectors: np.ndarray) -> np.ndarray:
-        """Bucket index for each row of `unit_vectors`."""
+        """Bucket index for each row of `unit_vectors`.
+
+        d >= 3: the nearest centre by largest |cos|, i.e. least projection
+        distance, ties to the lowest index.  Rows are compared with all k
+        centres ASSIGN_BLOCK_ROWS at a time: O(n * k * d) time, and one
+        (ASSIGN_BLOCK_ROWS, k) temporary instead of an (n, k) matrix and its
+        |.| copy.  BLAS may round an entry of a product differently in the
+        last bit depending on the product's shape.  A one-row product goes
+        through the matrix-vector path, where most rows differ, so a
+        one-row tail joins the block before it (a block has one row only
+        when n = 1).  Between multi-row blocks and one (n, k) product a few
+        rows differ; that moves a bucket only where a row's two largest
+        |cos| lie within that rounding, where the full product's own choice
+        also depends on n and on the number of BLAS threads.
+        """
         vecs = np.atleast_2d(unit_vectors)
         if self.angle_width is not None:
             return self.angle_buckets(np.arctan2(vecs[:, 1], vecs[:, 0]) % np.pi)
-        # nearest center by max |cos|, i.e. min projection distance
-        cos = np.abs(vecs @ self.centers.T)
-        return np.argmax(cos, axis=1)
+        n = vecs.shape[0]
+        buckets = np.empty(n, dtype=np.int64)
+        starts = list(range(0, n, ASSIGN_BLOCK_ROWS))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        for start, stop in zip(starts, starts[1:] + [n]):
+            cos = vecs[start:stop] @ self.centers.T
+            np.abs(cos, out=cos)
+            buckets[start:stop] = np.argmax(cos, axis=1)
+        return buckets
 
     def angle_buckets(self, theta: np.ndarray) -> np.ndarray:
         """Planar bucket index of each canonical angle in [0, pi)."""
@@ -212,6 +234,11 @@ def direction_cover(d: int, delta: float) -> DirectionCover:
     d>=3: greedy maximal (0.6*delta)-separated net over a deterministic
     dense candidate set; the net covers at radius delta and its size is
     within a constant factor (about (2/0.6)^{d-1}) of delta^{-(d-1)}.
+    Building it costs one matrix-vector product against the kept centres
+    per candidate (`_greedy_sphere_net`); the peak temporaries are the
+    candidates and the net's buffer, 16 * count * d bytes.  At (3, 2^-5),
+    36,864 candidates and 9,252 centres, that is 1.8 MB and 0.6-0.9 s on
+    one core of a 2-vCPU VM.
     """
     if not (0.0 < delta <= 1.0):
         raise InvalidScale(f"cover scale must lie in (0, 1], got {delta}")
@@ -233,7 +260,7 @@ def direction_cover(d: int, delta: float) -> DirectionCover:
 
 
 def _candidate_directions(d: int, count: int) -> np.ndarray:
-    """Deterministic, roughly uniform candidate directions."""
+    """Deterministic, roughly uniform candidate directions, as canonical rows."""
     if d == 3:
         i = np.arange(count)
         golden = (1.0 + np.sqrt(5.0)) / 2.0
@@ -244,24 +271,73 @@ def _candidate_directions(d: int, count: int) -> np.ndarray:
     else:
         rng = np.random.default_rng(derive_seed(0, f"direction-cover-d{d}"))
         pts = rng.standard_normal((count, d))
-    return np.array([canonical_vector(p) for p in pts])
+    return _canonical_rows(pts)
+
+
+def _canonical_rows(pts: np.ndarray) -> np.ndarray:
+    """`canonical_vector` of every row of an (n, d) array, bit for bit.
+
+    Each row is divided by the root of its own dot product, the value
+    `np.linalg.norm` takes for one vector; the stacked (1, d) @ (d, 1)
+    product adds its terms in that order (an einsum or a column sum does
+    not).  Then every row whose first nonzero entry is negative is negated.
+    """
+    norms = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+    if not (np.all(norms != 0.0) and np.all(np.isfinite(pts))):
+        raise InvalidParameter("direction vector must be nonzero and finite")
+    u = pts / norms[:, None]
+    nonzero = u != 0.0
+    first = u[np.arange(len(u)), np.argmax(nonzero, axis=1)]
+    u[first < 0.0] *= -1.0
+    u += 0.0  # clear negative zeros left by the sign flip
+    return u
 
 
 def _greedy_sphere_net(d: int, delta: float) -> np.ndarray:
-    sep = 0.6 * delta
+    """Greedy maximal (0.6 * delta)-separated net of the candidate directions.
+
+    A candidate is kept when its projection distance sqrt(1 - cos^2) to
+    every kept centre is at least 0.6 * delta, i.e. when no |cos| exceeds
+    `_largest_separated_cos`.  Cost: one matrix-vector product against the
+    kept centres and one max (and min) per candidate, O(count * k * d) for
+    count = min(ceil((6 / delta)^(d-1)), 400000) candidates and k centres.
+    The centres fill a preallocated (count, d) buffer, so the net is never
+    copied while it grows; the other temporaries are the candidates and
+    one k-vector.
+    """
     count = int(np.ceil((6.0 / delta) ** (d - 1)))
     count = min(count, 400_000)
     cands = _candidate_directions(d, count)
-    kept: list[np.ndarray] = []
-    kept_mat = np.empty((0, d))
+    limit = _largest_separated_cos(0.6 * delta)
+    net = np.empty((count, d))
+    kept = 0
     for c in cands:
-        if kept_mat.shape[0]:
-            cos = np.abs(kept_mat @ c)
-            if np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cos * cos))).min() < sep:
+        if kept:
+            cos = net[:kept] @ c
+            if cos.max() > limit or cos.min() < -limit:
                 continue
-        kept.append(c)
-        kept_mat = np.vstack([kept_mat, c])
-    return kept_mat
+        net[kept] = c
+        kept += 1
+    return net[:kept].copy()
+
+
+def _largest_separated_cos(sep: float) -> float:
+    """Largest double x >= 0 with sqrt(max(0, 1 - min(1, x*x))) >= sep.
+
+    Each step of that projection distance is monotone and correctly
+    rounded, so in floating point too it never rises as x grows: a |cos|
+    gives a distance below `sep` exactly when it exceeds this value.  Found
+    by bisection over the bit patterns of the doubles in [0, 1].
+    """
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))  # distance >= sep at lo, < sep at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        x = np.int64(mid).view(np.float64)
+        if np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, x * x))) < sep:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(lo).view(np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,8 +441,9 @@ def mesh_assign(family: LineFamily, delta: float, cover: DirectionCover | None =
     (`LineFamily.angles`) and each bucket centre's sine and cosine once per
     cover, so a scale costs one division, two table reads and one snap per
     line, COUNT_BLOCK_ROWS lines at a time.  For d>=3 every direction is
-    compared with every cover centre, O(n * k), and the translations are
-    projected bucket by bucket.
+    compared with every cover centre, O(n * k), ASSIGN_BLOCK_ROWS directions
+    at a time (`DirectionCover.assign`), and the translations are projected
+    bucket by bucket.
     """
     if cover is None:
         cover = direction_cover(family.dim, delta)

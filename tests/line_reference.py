@@ -1,12 +1,17 @@
 """Plain forms of the line-side code, kept as references for the tests.
 
 `mesh_assign` computes every line's angle and its bucket centre's sine and
-cosine at each call; `witness_on_line` runs the exact distance test on
-every point, a million rows at a time; `pigeonhole_extract` groups lines
-by bucket with one stable sort and picks each bucket's candidates with
-np.unique over its cell rows.  The package computes the same results with
-an angle cache, one pass over packed (bucket, cell) codes and a prefiltered
-scan; test_occupancy.py and test_pigeonhole_identity.py compare the two.
+cosine at each call, and for d >= 3 builds its cover with
+`greedy_sphere_net` (one `canonical_vector` call per candidate, every
+kept-centre distance tested, the net regrown by np.vstack) and assigns
+directions with one full (n, k) |cos| matrix; `witness_on_line` runs the
+exact distance test on every point, a million rows at a time;
+`pigeonhole_extract` groups lines by bucket with one stable sort and picks
+each bucket's candidates with np.unique over its cell rows.  The package
+computes the same results with an angle cache, array-wide canonical rows,
+a largest-|cos| test, blocked assignment, one pass over packed (bucket,
+cell) codes and a prefiltered scan; test_occupancy.py,
+test_pigeonhole_identity.py and test_cover_identity.py compare the two.
 No `assert` here, so the references behave the same under python -O.
 """
 
@@ -15,7 +20,8 @@ import math
 import numpy as np
 
 from furst.errors import InconsistentInput, InvalidParameter, InvalidScale
-from furst.grassmann import direction_cover
+from furst.grassmann import _gram_schmidt_frame, canonical_vector, direction_cover
+from furst.util import derive_seed
 from furst.util import snap_floor
 from furst.verifier import (
     THINNING_SEPARATION,
@@ -25,13 +31,52 @@ from furst.verifier import (
 )
 
 
+def candidate_directions(d, count):
+    """The cover's candidate directions, canonicalised one row at a time."""
+    if d == 3:
+        i = np.arange(count)
+        golden = (1.0 + np.sqrt(5.0)) / 2.0
+        z = 1.0 - (2.0 * i + 1.0) / count
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        phi = 2.0 * np.pi * i / golden
+        pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    else:
+        rng = np.random.default_rng(derive_seed(0, f"direction-cover-d{d}"))
+        pts = rng.standard_normal((count, d))
+    return np.array([canonical_vector(p) for p in pts])
+
+
+def greedy_sphere_net(d, delta):
+    """Greedy net testing every kept centre's distance, regrown per centre."""
+    sep = 0.6 * delta
+    count = int(np.ceil((6.0 / delta) ** (d - 1)))
+    count = min(count, 400_000)
+    cands = candidate_directions(d, count)
+    kept_mat = np.empty((0, d))
+    for c in cands:
+        if kept_mat.shape[0]:
+            cos = np.abs(kept_mat @ c)
+            if np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cos * cos))).min() < sep:
+                continue
+        kept_mat = np.vstack([kept_mat, c])
+    return kept_mat
+
+
+def assign(unit_vectors, centers):
+    """Nearest centre of every row by one full (n, k) |cos| matrix."""
+    vecs = np.atleast_2d(unit_vectors)
+    cos = np.abs(vecs @ centers.T)
+    return np.argmax(cos, axis=1)
+
+
 def mesh_assign(family, delta):
-    """(buckets, cells) of every line: arctan2, sine and cosine per line."""
-    cover = direction_cover(family.dim, delta)
+    """(buckets, cells) of every line: arctan2, sine and cosine per line in
+    the plane, the reference net and full-matrix assignment above."""
     n = len(family)
     cells = np.zeros((n, family.dim - 1), dtype=np.int64)
     width = 4.0 * delta
-    if n and cover.angle_width is not None:
+    if n and family.dim == 2:
+        cover = direction_cover(2, delta)
         vecs = family.directions
         theta = np.arctan2(vecs[:, 1], vecs[:, 0]) % np.pi
         buckets = np.minimum(
@@ -44,10 +89,11 @@ def mesh_assign(family, delta):
         )
         cells[:, 0] = snap_floor(coord, width)
     elif n:
-        buckets = cover.assign(family.directions)
+        centers = greedy_sphere_net(family.dim, delta)
+        buckets = assign(family.directions, centers)
         for b in np.unique(buckets):
             sel = buckets == b
-            coords = family.translations[sel] @ cover.frame(int(b)).T
+            coords = family.translations[sel] @ _gram_schmidt_frame(centers[b]).T
             cells[sel] = snap_floor(coords, width)
     else:
         buckets = np.empty(0, np.int64)

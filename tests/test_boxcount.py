@@ -182,11 +182,15 @@ class TestCoverReportInvariants:
 
     def test_cached_values_match_their_expressions(self):
         # around the 16,384-row blocks the radius is reduced in, with the
-        # farthest point anywhere, then last, then last in the first block
-        for rows, far in product((1, 1000, 16_384, 16_385, 100_000), (None, -1, 16_383)):
-            pts = np.random.default_rng(rows).normal(size=(rows, 3))
+        # farthest point anywhere, then last, then last in the first block;
+        # numpy sums rows of 8 or more entries pairwise, so 7, 8 and 9
+        # columns sit on either side of the radius's two branches
+        cases = product((2, 3, 7, 8, 9), (1, 1000, 16_384, 16_385, 100_000),
+                        (None, -1, 16_383))
+        for d, rows, far in cases:
+            pts = np.random.default_rng(rows).normal(size=(rows, d))
             if far is not None and rows > abs(far):
-                pts[far] = 10.0
+                pts[far] = 10.0 / np.sqrt(d) * np.random.default_rng(d).normal(size=d)
             cloud = furst.PointCloud(pts, 1e-9)
             assert np.array_equal(cloud.column_bounds, [pts.min(axis=0), pts.max(axis=0)])
             assert cloud.radius == float(np.linalg.norm(pts, axis=1).max())

@@ -1,7 +1,11 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import furst
+from furst import construct_packing
 from furst.construct_packing import (
     OPTION_LINES,
     OPTION_MARKS,
@@ -225,6 +229,35 @@ class TestRunAlternating:
         assert predicted / 4 <= realized <= predicted * 4
         for st in states:
             st.check_separations()
+
+
+def parallel_state(n, eta=0.01):
+    """n horizontal lines eta apart, one mark each: eta-separated."""
+    lines = tuple(
+        furst.AffineLine([1.0, 0.0], [0.0, i * eta]) for i in range(n)
+    )
+    marks = tuple(np.array([[0.0, i * eta]]) for i in range(n))
+    return furst.MarkedLineState(
+        k=1, eta=eta, lines=lines, marks=marks, d=2, s=0.5, t=1.0, history=()
+    )
+
+
+class TestSampledSeparation:
+    def test_sampled_check_warns(self):
+        with pytest.warns(UserWarning, match=(
+            r"^line separation sampled: 15010 of 1125750 pairs of 1501 lines checked$"
+        )):
+            parallel_state(1501).check_separations()
+
+    def test_exhaustive_check_does_not_warn(self):
+        # 1,124,250 exact distances take about 13 s, so the line metric is
+        # stubbed; the pairs and the mark checks are the real ones
+        state = parallel_state(1500)
+        with mock.patch.object(construct_packing, "metric_d1", lambda a, b: state.eta):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                state.check_separations()
+        assert len(construct_packing._separation_pairs(1500)) == 1500 * 1499 // 2
 
 
 class TestNeighborhoodCounts:
