@@ -286,8 +286,7 @@ def _canonical_rows(pts: np.ndarray) -> np.ndarray:
     if not (np.all(norms != 0.0) and np.all(np.isfinite(pts))):
         raise InvalidParameter("direction vector must be nonzero and finite")
     u = pts / norms[:, None]
-    nonzero = u != 0.0
-    first = u[np.arange(len(u)), np.argmax(nonzero, axis=1)]
+    first = u[np.arange(len(u)), np.argmax(u != 0.0, axis=1)]
     u[first < 0.0] *= -1.0
     u += 0.0  # clear negative zeros left by the sign flip
     return u
