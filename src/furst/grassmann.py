@@ -16,11 +16,15 @@ from functools import cached_property
 import numpy as np
 
 from .boxcount import COUNT_BLOCK_ROWS, count_distinct
-from .errors import InvalidParameter, InvalidScale, StaleResolution
+from .errors import InvalidParameter, InvalidScale, ResourceCap, StaleResolution
 from .util import derive_seed, snap_floor
 
 ORTHO_TOL = 1e-12
 ASSIGN_BLOCK_ROWS = 64  # rows compared with every cover centre per block
+NET_CANDIDATE_CAP = 400_000  # most candidates a d >= 3 greedy net may test
+NET_BLOCK_ROWS = 128  # d = 3 candidates tested against their bands per block
+NET_MARGIN = 1e-12  # a blocked |cos| this close to the limit decides nothing
+NET_BAND_SLACK = 1e-9  # added to the band radius for rounding in the heights
 
 
 def canonical_vector(v) -> np.ndarray:
@@ -138,6 +142,18 @@ def metric_d1(line_a: AffineLine, line_b: AffineLine) -> float:
     ) + float(np.linalg.norm(line_a.translation - line_b.translation))
 
 
+def _fixed_order_cos(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|cos| of v with each row, adding the d products left to right.
+
+    Each product and sum is one correctly rounded elementwise operation, so
+    the values are the same on every IEEE machine, unlike a BLAS product.
+    """
+    dot = rows[:, 0] * v[0]
+    for c in range(1, rows.shape[1]):
+        dot += rows[:, c] * v[c]
+    return np.abs(dot)
+
+
 def _gram_schmidt_frame(center: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal frame of center-perp, rows = d-1 vectors.
 
@@ -185,30 +201,41 @@ class DirectionCover:
         """Bucket index for each row of `unit_vectors`.
 
         d >= 3: the nearest centre by largest |cos|, i.e. least projection
-        distance, ties to the lowest index.  Rows are compared with all k
-        centres ASSIGN_BLOCK_ROWS at a time: O(n * k * d) time, and one
-        (ASSIGN_BLOCK_ROWS, k) temporary instead of an (n, k) matrix and its
-        |.| copy.  BLAS may round an entry of a product differently in the
-        last bit depending on the product's shape.  A one-row product goes
-        through the matrix-vector path, where most rows differ, so a
-        one-row tail joins the block before it (a block has one row only
-        when n = 1).  Between multi-row blocks and one (n, k) product a few
-        rows differ; that moves a bucket only where a row's two largest
-        |cos| lie within that rounding, where the full product's own choice
-        also depends on n and on the number of BLAS threads.
+        distance, where a |cos| is the fixed-order dot product
+        (`_fixed_order_cos`) and ties go to the lowest index.  Rows are
+        compared with all k centres by BLAS, ASSIGN_BLOCK_ROWS at a time:
+        O(n * k * d) time, and one (ASSIGN_BLOCK_ROWS, k) temporary instead
+        of an (n, k) matrix.  BLAS may round an entry differently in the
+        last bits depending on the product's shape and thread count.  But
+        a d-term dot product of unit vectors summed in any order lies
+        within about d * 2^-53 of the exact value, so a BLAS |cos| and the
+        fixed-order one differ by at most d * 2^-52.  A row whose best BLAS
+        |cos| beats every other by more than twice that has the same best
+        centre by fixed-order |cos|.  The other rows re-rank by fixed-order
+        |cos| the centres whose BLAS |cos| lies within 4 * d * 2^-52 of
+        their best (twice the 2 * d * 2^-52 needed), a set that holds the
+        fixed-order winner.  So buckets do not depend on the BLAS, the
+        block shape or the thread count.
         """
         vecs = np.atleast_2d(unit_vectors)
         if self.angle_width is not None:
             return self.angle_buckets(np.arctan2(vecs[:, 1], vecs[:, 0]) % np.pi)
         n = vecs.shape[0]
+        tol = 4 * self.dim * np.finfo(float).eps  # eps = 2^-52
         buckets = np.empty(n, dtype=np.int64)
-        starts = list(range(0, n, ASSIGN_BLOCK_ROWS))
-        if len(starts) > 1 and n - starts[-1] == 1:
-            starts.pop()
-        for start, stop in zip(starts, starts[1:] + [n]):
+        for start in range(0, n, ASSIGN_BLOCK_ROWS):
+            stop = min(start + ASSIGN_BLOCK_ROWS, n)
             cos = vecs[start:stop] @ self.centers.T
             np.abs(cos, out=cos)
-            buckets[start:stop] = np.argmax(cos, axis=1)
+            best = np.argmax(cos, axis=1)
+            rows = np.arange(stop - start)
+            floor = cos[rows, best] - tol
+            cos[rows, best] = -1.0
+            for r in np.flatnonzero(cos.max(axis=1) >= floor):
+                near = np.union1d(np.flatnonzero(cos[r] >= floor[r]), best[r])
+                dots = _fixed_order_cos(self.centers[near], vecs[start + r])
+                best[r] = near[np.argmax(dots)]
+            buckets[start:stop] = best
         return buckets
 
     def angle_buckets(self, theta: np.ndarray) -> np.ndarray:
@@ -231,14 +258,17 @@ def direction_cover(d: int, delta: float) -> DirectionCover:
     pi * delta^{-1}.  delta = 1 (the diameter of planar direction space)
     is served by a single bucket.
 
-    d>=3: greedy maximal (0.6*delta)-separated net over a deterministic
-    dense candidate set; the net covers at radius delta and its size is
-    within a constant factor (about (2/0.6)^{d-1}) of delta^{-(d-1)}.
-    Building it costs one matrix-vector product against the kept centres
-    per candidate (`_greedy_sphere_net`); the peak temporaries are the
-    candidates and the net's buffer, 16 * count * d bytes.  At (3, 2^-5),
-    36,864 candidates and 9,252 centres, that is 1.8 MB and 0.6-0.9 s on
-    one core of a 2-vCPU VM.
+    d>=3: greedy maximal (0.6*delta)-separated net over the
+    ceil((6/delta)^(d-1)) candidate directions of `_net_candidate_count`; its
+    size is within a constant factor (about (2/0.6)^{d-1}) of
+    delta^{-(d-1)}.  A scale that needs more than NET_CANDIDATE_CAP
+    candidates (d = 3 below delta ~ 0.0095, d = 4 below ~ 0.081, d = 5
+    below ~ 0.24) raises ResourceCap before anything is built: a net over
+    fewer candidates than that would not be shown to cover at radius delta.
+    `_greedy_sphere_net` gives the cost; at (3, 2^-5), 36,864 candidates
+    and 9,252 centres, the build takes about 0.07 s on one core of a
+    2-vCPU VM, and its peak temporaries are the candidates and the net's
+    buffer, 16 * count * d bytes (1.8 MB).
     """
     if not (0.0 < delta <= 1.0):
         raise InvalidScale(f"cover scale must lie in (0, 1], got {delta}")
@@ -259,12 +289,31 @@ def direction_cover(d: int, delta: float) -> DirectionCover:
     return DirectionCover(d, delta, _greedy_sphere_net(d, delta))
 
 
+def _net_candidate_count(d: int, delta: float) -> int:
+    """Candidate directions of the d >= 3 greedy net at `delta`.
+
+    Raises ResourceCap when ceil((6/delta)^(d-1)) exceeds NET_CANDIDATE_CAP.
+    """
+    count = int(np.ceil((6.0 / delta) ** (d - 1)))
+    if count > NET_CANDIDATE_CAP:
+        raise ResourceCap(
+            f"a direction cover of R^{d} at scale {delta:.3e} needs {count:,} "
+            f"candidate directions, above the cap of {NET_CANDIDATE_CAP:,}"
+        )
+    return count
+
+
+def _fibonacci_heights(count: int) -> np.ndarray:
+    """z of the d = 3 golden-spiral candidates before canonicalisation, descending."""
+    return 1.0 - (2.0 * np.arange(count) + 1.0) / count
+
+
 def _candidate_directions(d: int, count: int) -> np.ndarray:
     """Deterministic, roughly uniform candidate directions, as canonical rows."""
     if d == 3:
         i = np.arange(count)
         golden = (1.0 + np.sqrt(5.0)) / 2.0
-        z = 1.0 - (2.0 * i + 1.0) / count
+        z = _fibonacci_heights(count)
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         phi = 2.0 * np.pi * i / golden
         pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
@@ -297,27 +346,114 @@ def _greedy_sphere_net(d: int, delta: float) -> np.ndarray:
 
     A candidate is kept when its projection distance sqrt(1 - cos^2) to
     every kept centre is at least 0.6 * delta, i.e. when no |cos| exceeds
-    `_largest_separated_cos`.  Cost: one matrix-vector product against the
-    kept centres and one max (and min) per candidate, O(count * k * d) for
-    count = min(ceil((6 / delta)^(d-1)), 400000) candidates and k centres.
-    The centres fill a preallocated (count, d) buffer, so the net is never
-    copied while it grows; the other temporaries are the candidates and
-    one k-vector.
+    `_largest_separated_cos`; `_conflicts` is that test, one
+    matrix-vector product against all kept centres.  The centres fill a
+    preallocated (count, d) buffer, so the net is never copied while it
+    grows.
+
+    d >= 4 runs `_conflicts` on every candidate: O(count * k * d) for
+    count = `_net_candidate_count` candidates and k centres.  d = 3 keeps
+    the same centres, bit for bit, testing each candidate only against the
+    centres near its height (`_banded_net`): about count * (band +
+    NET_BLOCK_ROWS) * d, where a band holds O(k * delta) centres.  With
+    one BLAS thread on a 2-vCPU VM that is 0.64 -> 0.07 s at 2^-5 and
+    8.3 -> 0.36 s at 2^-6, against `_conflicts` on every candidate.
     """
-    count = int(np.ceil((6.0 / delta) ** (d - 1)))
-    count = min(count, 400_000)
+    count = _net_candidate_count(d, delta)
     cands = _candidate_directions(d, count)
     limit = _largest_separated_cos(0.6 * delta)
     net = np.empty((count, d))
-    kept = 0
-    for c in cands:
-        if kept:
-            cos = net[:kept] @ c
-            if cos.max() > limit or cos.min() < -limit:
-                continue
-        net[kept] = c
-        kept += 1
+    if d == 3:
+        kept = _banded_net(cands, _fibonacci_heights(count), limit, net)
+    else:
+        kept = 0
+        for c in cands:
+            if not _conflicts(net, kept, c, limit):
+                net[kept] = c
+                kept += 1
     return net[:kept].copy()
+
+
+def _conflicts(net: np.ndarray, kept: int, c: np.ndarray, limit: float) -> bool:
+    """True when some |cos| of c with the kept centres net[:kept] exceeds limit."""
+    if not kept:
+        return False
+    cos = net[:kept] @ c
+    return bool(cos.max() > limit or cos.min() < -limit)
+
+
+def _band_radius(limit: float) -> float:
+    """Height gap past which a d = 3 candidate and a centre are never near.
+
+    See `_banded_net` for why a |cos| of at least limit - NET_MARGIN needs
+    a height gap (as given or with one row negated) below this radius.
+    """
+    return float(np.sqrt(2.0 - 2.0 * limit + 4.0 * NET_MARGIN)) + NET_BAND_SLACK
+
+
+def _banded_net(cands, heights, limit, net) -> int:
+    """`_greedy_sphere_net` for d = 3: fill net with its centres, return how many.
+
+    The golden-spiral candidates come in descending pre-canonical height
+    z = `_fibonacci_heights`, so the kept centres do too and the centres
+    within a height band are one slice of the net, found by searchsorted.
+
+    Band bound.  Let p be a candidate before canonicalisation and c = +-p /
+    |p| its row.  Its float coordinates make |p|^2 = 1 within a few ulps
+    (under 2 * 2^-52 up to the cap, measured), so c_z = +-z within about
+    1e-15.  A 3-term dot product of two such rows computed in any order
+    (BLAS, blocked, FMA or not) lies within 1e-15 of the exact one.  So if
+    a computed |c . k| >= limit - NET_MARGIN for a kept centre k, the
+    exact |c . k| >= limit - NET_MARGIN - 1e-15, and for s = sign(c . k),
+    |c_z - s k_z| <= |c - s k| = sqrt(|c|^2 + |k|^2 - 2 |c . k|) <
+    sqrt(2 - 2 limit + 4 NET_MARGIN).  With the 1e-15 error of each
+    height, z_c and z_k then differ by less than `_band_radius(limit)`
+    either as given or with one negated (NET_BAND_SLACK = 1e-9 covers the
+    height and root rounding many times over).  A centre outside both
+    bands therefore has every computed |cos| below limit - NET_MARGIN: it
+    cannot make the plain test reject.
+
+    Candidates are taken NET_BLOCK_ROWS at a time.  One product gives each
+    candidate's largest |cos| with the centres kept before the block in its
+    two bands, and one more (the block with itself) the |cos| with the
+    centres kept earlier in the block.  Both are computed with other shapes
+    than the plain test, so they may differ from it in the last bits; a
+    value above limit + NET_MARGIN still proves a rejection and one below
+    limit - NET_MARGIN a pass, and only a value in between takes the plain
+    test, `_conflicts` against every kept centre.  No build of the tested
+    scales takes it.
+    """
+    radius = _band_radius(limit)
+    high, low = limit + NET_MARGIN, limit - NET_MARGIN
+    depths = np.empty(len(cands))  # -z of the kept centres, ascending
+    kept = 0
+    for start in range(0, len(cands), NET_BLOCK_ROWS):
+        block = cands[start : start + NET_BLOCK_ROWS]
+        z = heights[start : start + NET_BLOCK_ROWS]
+        seen = depths[:kept]
+        near = np.searchsorted(seen, -z[0] - radius)  # z_k < z_c + radius
+        mirror = (  # |z_k + z_c| < radius
+            np.searchsorted(seen, z[-1] - radius),
+            np.searchsorted(seen, z[0] + radius, side="right"),
+        )
+        if mirror[1] < near:
+            bands = [(near, kept), mirror]
+        else:
+            bands = [(min(near, mirror[0]), kept)]
+        top = np.zeros(len(block))
+        for lo, hi in bands:
+            if hi > lo:
+                np.maximum(top, np.abs(block @ net[lo:hi].T).max(axis=1), out=top)
+        within = np.abs(block @ block.T)
+        for j in np.flatnonzero(top <= high):
+            t = top[j]
+            if t > high or (t >= low and _conflicts(net, kept, block[j], limit)):
+                continue
+            net[kept] = block[j]
+            depths[kept] = -z[j]
+            kept += 1
+            np.maximum(top, within[j], out=top)
+    return kept
 
 
 def _largest_separated_cos(sep: float) -> float:

@@ -4,15 +4,17 @@
 cosine at each call, and for d >= 3 builds its cover with
 `greedy_sphere_net` (one `canonical_vector` call per candidate, every
 kept-centre distance tested, the net regrown by np.vstack) and assigns
-directions with one full (n, k) |cos| matrix; `witness_on_line` runs the
-exact distance test on every point, a million rows at a time;
-`pigeonhole_extract` groups lines by bucket with one stable sort and picks
-each bucket's candidates with np.unique over its cell rows.  The package
-computes the same results with an angle cache, array-wide canonical rows,
-a largest-|cos| test, blocked assignment, one pass over packed (bucket,
-cell) codes and a prefiltered scan; test_occupancy.py,
-test_pigeonhole_identity.py and test_cover_identity.py compare the two.
-No `assert` here, so the references behave the same under python -O.
+directions with one full (n, k) |cos| matrix whose entries add the d
+products left to right; `witness_on_line` runs the exact distance test on
+every point, a million rows at a time; `pigeonhole_extract` groups lines
+by bucket with one stable sort and picks each bucket's candidates with
+np.unique over its cell rows.  The package computes the same results with
+an angle cache, array-wide canonical rows, a largest-|cos| test, a net
+banded by height, blocked BLAS assignment with a near-tie re-rank, one
+pass over packed (bucket, cell) codes and a prefiltered scan;
+test_occupancy.py, test_pigeonhole_identity.py and test_cover_identity.py
+compare the two.  No `assert` here, so the references behave the same
+under python -O.
 """
 
 import math
@@ -63,10 +65,13 @@ def greedy_sphere_net(d, delta):
 
 
 def assign(unit_vectors, centers):
-    """Nearest centre of every row by one full (n, k) |cos| matrix."""
+    """Nearest centre of every row by one full (n, k) |cos| matrix, each
+    entry the d products added left to right, ties to the lowest index."""
     vecs = np.atleast_2d(unit_vectors)
-    cos = np.abs(vecs @ centers.T)
-    return np.argmax(cos, axis=1)
+    cos = vecs[:, 0, None] * centers[None, :, 0]
+    for c in range(1, vecs.shape[1]):
+        cos += vecs[:, c, None] * centers[None, :, c]
+    return np.argmax(np.abs(cos), axis=1)
 
 
 def mesh_assign(family, delta):

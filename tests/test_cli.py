@@ -115,6 +115,17 @@ class TestConstruct:
         code, _ = construct_box(tmp_path, name="big", max_points=10)
         assert code == 2
 
+    def test_capped_direction_cover_exits_2(self, tmp_path, capsys):
+        # estimate counts the last step's lines at eta = 2^-10, where a
+        # d = 3 direction cover needs more candidates than the cap allows
+        cfg = dict(PACKING_CONFIG, d=3, t=2.0)
+        cfg["schedule"] = {"mode": "demo", "etas": [1.0, 1 / 16, 2.0**-10]}
+        cfg_path = write_config(tmp_path / "p3d.json", cfg)
+        out = tmp_path / "p3d"
+        assert main(["construct-packing", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["estimate", "--out", str(out)]) == 2
+        assert "candidate directions, above the cap" in capsys.readouterr().err
+
     def test_seed_required(self, tmp_path):
         cfg = dict(BOX_CONFIG)
         del cfg["seed"]

@@ -1,12 +1,14 @@
 """d >= 3 direction covers equal their plain forms, bit for bit.
 
 The package canonicalises all candidate directions at once, tests each
-candidate against the largest |cos| to the kept centres only, and assigns
-directions to centres in row blocks; `line_reference` holds the forms that
-canonicalise one row at a time, test every kept centre, regrow the net with
-np.vstack and assign with one full |cos| matrix.  Candidates, centres and
+d = 3 candidate only against the kept centres near its height (with the
+plain largest-|cos| test as the fallback near the threshold), and assigns
+directions to centres in row blocks, re-ranking near ties by fixed-order
+dot products; `line_reference` holds the forms that canonicalise one row
+at a time, test every kept centre, regrow the net with np.vstack and
+assign with one full fixed-order |cos| matrix.  Candidates, centres and
 buckets must be identical.  These tests also run under the oldest numpy
-that pyproject allows.
+that pyproject allows, and under python -O.
 """
 
 from functools import lru_cache
@@ -14,12 +16,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import furst
 from furst import grassmann
-from furst.errors import InvalidParameter
+from furst.errors import InvalidParameter, ResourceCap
 
 import line_reference
 
@@ -28,11 +30,12 @@ COVERS = (
     + [(3, 0.3), (3, 0.07), (3, 0.045)]
     + [(4, 0.5), (4, 0.25), (4, 0.2), (5, 0.5)]
 )
+NET_SCALES = [2.0**-k for k in range(1, 5)] + [0.3, 0.07]
 MAX_MATRIX_ROWS = 1000
 
 
 def candidate_count(d, delta):
-    return min(int(np.ceil((6.0 / delta) ** (d - 1))), 400_000)
+    return int(np.ceil((6.0 / delta) ** (d - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -108,13 +111,120 @@ def test_assign_matches_reference(d, delta):
 
 @pytest.mark.parametrize("block", [2, 3, 7])
 def test_assign_small_blocks(block):
-    # many blocks and one-row tails folded into the block before them
+    # many blocks, and one-row tails, whose product is a matrix-vector one
     centers = reference_centers(3, 0.07)
     rng = np.random.default_rng(block)
     with mock.patch.object(grassmann, "ASSIGN_BLOCK_ROWS", block):
         for n in (1, 2, block, block + 1, 4 * block + 1, 100):
             assert_same_buckets(centers, unit_rows(rng, n, 3))
         assert_same_buckets(centers, near_ties(centers, some_rows(rng, len(centers))))
+
+
+@pytest.mark.parametrize("block", [2, 3, 7, 64])
+def test_assign_breaks_ties_by_fixed_order(block):
+    # midpoints of two centres: their two best |cos| agree to within
+    # rounding, so the BLAS product alone may pick either centre
+    centers = reference_centers(3, 0.07)
+    ties = near_ties(centers, some_rows(np.random.default_rng(block), len(centers)))
+    dots = np.sort([grassmann._fixed_order_cos(centers, v) for v in ties], axis=1)
+    assert np.mean(dots[:, -1] - dots[:, -2] <= 12 * np.finfo(float).eps) > 0.5
+    with mock.patch.object(grassmann, "ASSIGN_BLOCK_ROWS", block):
+        assert_same_buckets(centers, ties)
+    # exact ties go to the lower index, wherever the tied centres sit
+    axes = np.eye(3)
+    both = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, -1.0]]) / np.sqrt(2.0)
+    for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+        cover = grassmann.DirectionCover(3, 0.5, axes[order])
+        expected = [min(order.index(i), order.index(j)) for i, j in ((0, 1), (1, 2), (0, 2))]
+        assert cover.assign(both).tolist() == expected
+
+
+@pytest.mark.parametrize("d, delta", [(3, 0.07), (4, 0.25)])
+def test_assign_moves_only_near_ties(d, delta):
+    # where the BLAS product's best |cos| is clear of the next by the
+    # tie tolerance, the bucket is its argmax, as before the re-rank
+    centers = reference_centers(d, delta)
+    rng = np.random.default_rng(d)
+    vecs = np.vstack([unit_rows(rng, 500, d), near_ties(centers, some_rows(rng, len(centers), 500))])
+    cos = np.abs(vecs @ centers.T)
+    top2 = np.sort(cos, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 4 * d * np.finfo(float).eps
+    assert clear.sum() >= 500
+    got = grassmann.DirectionCover(d, delta, centers).assign(vecs)
+    assert np.array_equal(got[clear], np.argmax(cos, axis=1)[clear])
+
+
+@pytest.mark.parametrize("delta", NET_SCALES)
+def test_banded_net_with_every_decision_exact(delta):
+    # a margin of 1 leaves every candidate to the plain test
+    conflicts = grassmann._conflicts
+    with mock.patch.object(grassmann, "NET_MARGIN", 1.0), mock.patch.object(
+        grassmann, "_conflicts", side_effect=conflicts
+    ) as plain:
+        centers = grassmann._greedy_sphere_net(3, delta)
+    assert plain.call_count == candidate_count(3, delta)
+    assert same_bits(centers, reference_centers(3, delta))
+
+
+@pytest.mark.parametrize("delta", NET_SCALES + [2.0**-5])
+def test_banded_net_with_the_whole_net_as_band(delta):
+    with mock.patch.object(grassmann, "_band_radius", return_value=3.0):
+        centers = grassmann._greedy_sphere_net(3, delta)
+    assert same_bits(centers, reference_centers(3, delta))
+
+
+def sphere_row(z, phi):
+    r = np.sqrt(max(0.0, 1.0 - z * z))
+    row = np.array([r * np.cos(phi), r * np.sin(phi), z])
+    return row / np.linalg.norm(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # below the capped scales too: at delta ~ 1e-4 the rows' radii leave
+    # no room beyond the margin and the slack in `_band_radius`
+    st.floats(1e-4, 1.0),
+    st.floats(-1.0, 1.0),
+    st.one_of(st.floats(0.0, 1e-12), st.floats(0.0, 2.0)),
+    st.booleans(),
+    st.booleans(),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(-1e-3, 1e-3),
+)
+def test_rows_outside_both_bands_are_separated(delta, z, gap, mirror, down, phi, turn):
+    # the second row sits just past the band radius from the first row's
+    # height, or from its negation, at nearly the same azimuth (the
+    # largest |cos| for those heights), or at the opposite one
+    limit = grassmann._largest_separated_cos(0.6 * delta)
+    radius = grassmann._band_radius(limit)
+    other = (-z if mirror else z) + (radius + gap) * (-1.0 if down else 1.0)
+    assume(-1.0 <= other <= 1.0)
+    u = sphere_row(z, phi)
+    w = sphere_row(other, phi + turn + (np.pi if mirror else 0.0))
+    assume(abs(u[2] - w[2]) > radius and abs(u[2] + w[2]) > radius)
+    assert abs(u @ w) < limit - grassmann.NET_MARGIN
+    assert abs(u @ -w) < limit - grassmann.NET_MARGIN
+
+
+def test_candidate_cap_boundary():
+    # 6 / 0.75 = 8 exactly: 64 candidates in R^3
+    assert grassmann._net_candidate_count(3, 0.75) == 64
+    with mock.patch.object(grassmann, "NET_CANDIDATE_CAP", 64):
+        assert grassmann._net_candidate_count(3, 0.75) == 64
+    with mock.patch.object(grassmann, "NET_CANDIDATE_CAP", 63):
+        with pytest.raises(ResourceCap):
+            grassmann._net_candidate_count(3, 0.75)
+    assert grassmann._net_candidate_count(3, 6.0 / 632) <= grassmann.NET_CANDIDATE_CAP
+    with pytest.raises(ResourceCap):
+        grassmann._net_candidate_count(3, 6.0 / 633)
+
+
+@pytest.mark.parametrize("d, delta", [(3, 2.0**-7), (4, 0.05)])
+def test_capped_covers_are_refused_before_building(d, delta):
+    with mock.patch.object(grassmann, "_candidate_directions") as build:
+        with pytest.raises(ResourceCap, match="cap"):
+            furst.direction_cover(d, delta)
+    build.assert_not_called()
 
 
 def test_mesh_assign_matches_reference_in_3d():
