@@ -33,9 +33,27 @@ class PointCloud:
 
     def __init__(self, points, resolution_floor):
         pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
+        self._adopt(pts, resolution_floor)
+
+    @classmethod
+    def _owning(cls, points: np.ndarray, resolution_floor) -> "PointCloud":
+        """A cloud that keeps `points`, a fresh float (n, d) array, uncopied.
+
+        The caller must hold no other reference it writes through: the
+        array is checked as `__init__` checks its copy and made read-only.
+        """
+        cloud = cls.__new__(cls)
+        cloud._adopt(points, resolution_floor)
+        return cloud
+
+    def _adopt(self, pts: np.ndarray, resolution_floor) -> None:
+        """Check `pts` COUNT_BLOCK_ROWS rows at a time, freeze it and keep it."""
         if pts.shape[1] == 0:
             raise InvalidParameter("points need at least one coordinate")
-        if pts.size and not np.all(np.isfinite(pts)):
+        if not all(
+            np.isfinite(pts[start : start + COUNT_BLOCK_ROWS]).all()
+            for start in range(0, pts.shape[0], COUNT_BLOCK_ROWS)
+        ):
             raise InvalidParameter("points must be finite")
         if resolution_floor <= 0:
             raise InvalidParameter("resolution floor must be positive")
@@ -88,9 +106,10 @@ def _squared_norms(block: np.ndarray) -> np.ndarray:
     Below PAIRWISE_SUM_COLUMNS columns numpy adds a row's squares left to
     right, so adding the squared columns one at a time gives the same sums,
     several times faster than reducing short rows.  From there on numpy
-    sums rows pairwise, and the rows are reduced as it does.
+    sums rows pairwise, and the rows are reduced as it does; it reduces
+    no columns to 0.
     """
-    if block.shape[1] >= PAIRWISE_SUM_COLUMNS:
+    if not 0 < block.shape[1] < PAIRWISE_SUM_COLUMNS:
         return np.add.reduce(block * block, axis=1)
     sq = block[:, 0] * block[:, 0]
     for c in range(1, block.shape[1]):

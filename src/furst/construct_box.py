@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cantor
-from .boxcount import PointCloud, grid_count
+from .boxcount import COUNT_BLOCK_ROWS, PointCloud, grid_count
 from .cantor import CantorSpec
 from .errors import InvalidParameter, InvalidScale, ResourceCap
 from .grassmann import Direction, LineFamily, canonical_vector
@@ -34,6 +34,10 @@ class BoxSharpSpec:
     default 0 is the plain scheme; positive values resolve the direction
     set's dimension at coarser scales, which finite-range slope fits need
     when t is close to 2(d-1).
+
+    `seed` is echoed into `to_config` and so into manifests.  Nothing in
+    the construction reads it: specs that differ only in seed build the
+    same points and lines.
     """
 
     d: int
@@ -273,16 +277,50 @@ def make_translations(d: int, beta: float, count: int) -> TranslationSequence:
 
 
 def _pair_order(M: int, N: int):
-    """(m, n) index arrays, 1-based, sorted by m+n then m: coarse first."""
-    m = np.repeat(np.arange(1, M + 1), N)
-    n = np.tile(np.arange(1, N + 1), M)
-    order = np.lexsort((m, m + n))
-    return m[order], n[order]
+    """(m, n) index arrays, 1-based, sorted by m+n then m: coarse first.
+
+    Walks the diagonals s = m + n upwards with no sort: diagonal s starts
+    at m = max(1, s - N) and holds min(M, s - 1) - max(1, s - N) + 1
+    pairs, in increasing m.
+    """
+    s = np.arange(2, M + N + 1)
+    first = np.maximum(1, s - N)
+    count = np.minimum(M, s - 1) - first + 1
+    m = np.repeat(first - (np.cumsum(count) - count), count)
+    m += np.arange(M * N)
+    n = np.repeat(s, count)
+    n -= m
+    return m, n
+
+
+# 2^-j for j = 0, ..., 1075; exp2 gives 0.0 from j = 1075 on, so a lookup
+# clipped to the last entry gives exp2(-j) for every j >= 0
+_POWERS_OF_HALF = np.exp2(-np.arange(1076.0))
 
 
 def _floor_from_exponent(log2_floor: float) -> float:
     # clamp so extreme truncations keep a positive, representable floor
     return float(np.exp2(max(log2_floor, -1000.0))) or 5e-324
+
+
+def _place_copies(out, scale, endpoints, v, u):
+    """out[k, p, c] = fl(fl(fl(scale_k * e_p) * v_kc) + u_kc) for one block.
+
+    These are the operations of the broadcast scale * e * v + u, in its
+    order, so the points are the same floats; u is None for no translation.
+    The products run along the longer of the pair and endpoint axes: one
+    endpoint at a time when the block has more pairs than endpoints.
+    """
+    step = 1 if endpoints.size < scale.size else endpoints.size
+    for lo in range(0, endpoints.size, step):
+        cols = slice(lo, lo + step)
+        se = scale[:, None] * endpoints[cols]
+        for c in range(v.shape[1]):
+            dst = out[:, cols, c]
+            if u is None:
+                np.multiply(se, v[:, c, None], out=dst)
+            else:
+                np.add(se * v[:, c, None], u[:, c, None], out=dst)
 
 
 def build_points(spec: BoxSharpSpec) -> PointCloud:
@@ -293,6 +331,12 @@ def build_points(spec: BoxSharpSpec) -> PointCloud:
     (t <= d - 1) the translation set is {0} and the points are simply the
     union of the direction-embedded copies 2^{-n} V_n(E).
     The resolution floor is 4x the finest generated scale.
+
+    Cost: one pass over the K pairs (K = N collapsed, M * N otherwise),
+    COUNT_BLOCK_ROWS pairs at a time; each block gathers its directions
+    and translations and writes its points straight into the cloud's
+    array, which the cloud keeps without a copy.  Peak memory: the output,
+    two int64 index arrays of K entries and one block's temporaries.
     """
     total = spec.cardinality()
     if total > spec.max_points:
@@ -302,31 +346,30 @@ def build_points(spec: BoxSharpSpec) -> PointCloud:
         )
     endpoints = cantor.points_at_depth(spec.cantor, spec.depth)
     dirs = make_directions(spec.d, spec.N, spec.dir_density)
-    P = endpoints.size
     if spec.collapsed:
-        n_idx = np.arange(1, spec.N + 1)
-        scales = np.exp2(-n_idx.astype(float))
-        # (K, P, d): scaled endpoints along each direction
-        out = (
-            scales[:, None, None]
-            * endpoints[None, :, None]
-            * dirs.vectors[n_idx - 1][:, None, :]
-        ).reshape(-1, spec.d)
+        m_idx, n_idx = None, np.arange(1, spec.N + 1)
         log2_floor = 2.0 - spec.N - spec.depth * np.log2(spec.cantor.base)
     else:
         trans = make_translations(spec.d, spec.beta, spec.M)
         m_idx, n_idx = _pair_order(spec.M, spec.N)
-        scales = np.exp2(-(m_idx + n_idx).astype(float))
-        out = (
-            scales[:, None, None]
-            * endpoints[None, :, None]
-            * dirs.vectors[n_idx - 1][:, None, :]
-            + trans.vectors[m_idx - 1][:, None, :]
-        ).reshape(-1, spec.d)
         log2_floor = (
             2.0 - spec.M - spec.N - spec.depth * np.log2(spec.cantor.base)
         )
-    return PointCloud(out, _floor_from_exponent(log2_floor))
+    out = np.empty((n_idx.size, endpoints.size, spec.d))
+    for start in range(0, n_idx.size, COUNT_BLOCK_ROWS):
+        rows = slice(start, start + COUNT_BLOCK_ROWS)
+        n = n_idx[rows]
+        v = dirs.vectors.take(n - 1, axis=0)
+        if m_idx is None:
+            exponent, u = n, None
+        else:
+            m = m_idx[rows]
+            exponent, u = m + n, trans.vectors.take(m - 1, axis=0)
+        scale = _POWERS_OF_HALF.take(exponent, mode="clip")
+        _place_copies(out[rows], scale, endpoints, v, u)
+    return PointCloud._owning(
+        out.reshape(-1, spec.d), _floor_from_exponent(log2_floor)
+    )
 
 
 def build_lines(spec: BoxSharpSpec) -> LineFamily:
@@ -336,6 +379,12 @@ def build_lines(spec: BoxSharpSpec) -> LineFamily:
     projection of u_m onto V_n's orthocomplement.  The family's box
     dimension target is t = (d - 1) + beta.  The resolution floor is 4x
     the finest structural gap (direction net spacing or translation gap).
+
+    Cost: one pass over the M * N pairs, COUNT_BLOCK_ROWS pairs at a time;
+    each block gathers its directions and translations straight into the
+    family's arrays and projects the translations in place, and the family
+    keeps the arrays without a copy.  Peak memory: the two outputs, two
+    int64 index arrays of M * N entries and one block's temporaries.
     """
     dirs = make_directions(spec.d, spec.N, spec.dir_density)
     dir_gap = min(sp for _, sp, _ in dirs.shells if sp > 0.0) if any(
@@ -344,18 +393,24 @@ def build_lines(spec: BoxSharpSpec) -> LineFamily:
     if len(dirs) == 1:
         dir_gap = 1.0
     if spec.collapsed:
-        directions = dirs.vectors
-        translations = np.zeros_like(directions)
+        directions = dirs.vectors  # built by this call, so the family may keep it
         floor = 4.0 * dir_gap
-        return LineFamily(directions, translations, min(floor, 1.0))
+        return LineFamily._owning(
+            directions, np.zeros_like(directions), min(floor, 1.0)
+        )
     trans = make_translations(spec.d, spec.beta, spec.M)
     m_idx, n_idx = _pair_order(spec.M, spec.N)
-    directions = dirs.vectors[n_idx - 1]
-    u = trans.vectors[m_idx - 1]
-    along = np.einsum("ij,ij->i", u, directions)
-    translations = u - along[:, None] * directions
+    directions = np.empty((n_idx.size, spec.d))
+    translations = np.empty_like(directions)
+    for start in range(0, n_idx.size, COUNT_BLOCK_ROWS):
+        rows = slice(start, start + COUNT_BLOCK_ROWS)
+        v, u = directions[rows], translations[rows]
+        dirs.vectors.take(n_idx[rows] - 1, axis=0, out=v)
+        trans.vectors.take(m_idx[rows] - 1, axis=0, out=u)
+        along = np.einsum("ij,ij->i", u, v)
+        u -= along[:, None] * v
     floor = 4.0 * min(dir_gap, 0.5 * min_pairwise_distance(trans.vectors))
-    return LineFamily(directions, translations, min(floor, 1.0))
+    return LineFamily._owning(directions, translations, min(floor, 1.0))
 
 
 def k_of_delta(delta: float) -> int:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boxcount import COUNT_BLOCK_ROWS, count_distinct
+from .boxcount import COUNT_BLOCK_ROWS, _squared_norms, count_distinct
 from .errors import InvalidParameter, InvalidScale, ResourceCap, StaleResolution
 from .util import derive_seed, snap_floor
 
@@ -492,16 +492,45 @@ class LineFamily:
     def __init__(self, directions, translations, resolution_floor):
         dirs = np.atleast_2d(np.asarray(directions, dtype=float)).copy()
         trans = np.atleast_2d(np.asarray(translations, dtype=float)).copy()
+        self._adopt(dirs, trans, resolution_floor)
+
+    @classmethod
+    def _owning(cls, directions: np.ndarray, translations: np.ndarray,
+                resolution_floor) -> "LineFamily":
+        """A family that keeps two fresh float (n, d) arrays, uncopied.
+
+        The caller must hold no other reference it writes through: the
+        arrays are checked as `__init__` checks its copies and made
+        read-only.
+        """
+        family = cls.__new__(cls)
+        family._adopt(directions, translations, resolution_floor)
+        return family
+
+    def _adopt(self, dirs: np.ndarray, trans: np.ndarray, resolution_floor) -> None:
+        """Check the arrays COUNT_BLOCK_ROWS rows at a time, freeze and keep them.
+
+        A direction's norm is the root of `_squared_norms`, the value
+        `np.linalg.norm` gives for the row.
+        """
         if dirs.shape != trans.shape:
             raise InvalidParameter("directions/translations shape mismatch")
         if resolution_floor <= 0:
             raise InvalidParameter("resolution floor must be positive")
-        # written so that a nan or infinite entry fails the test
-        norms = np.linalg.norm(dirs, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):
+        blocks = [
+            slice(start, start + COUNT_BLOCK_ROWS)
+            for start in range(0, dirs.shape[0], COUNT_BLOCK_ROWS)
+        ]
+        # written so that a nan or infinite entry fails the tests
+        if not all(
+            (np.abs(np.sqrt(_squared_norms(dirs[rows])) - 1.0) <= 1e-9).all()
+            for rows in blocks
+        ):
             raise InvalidParameter("directions must be finite unit vectors")
-        inner = np.abs(np.einsum("ij,ij->i", dirs, trans))
-        if not np.all(inner <= 1e-9):
+        if not all(
+            (np.abs(np.einsum("ij,ij->i", dirs[rows], trans[rows])) <= 1e-9).all()
+            for rows in blocks
+        ):
             raise InvalidParameter(
                 "translations must be finite and orthogonal to directions"
             )
