@@ -1,5 +1,6 @@
 """Grid covering numbers and log-log dimension fits for point clouds."""
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -11,12 +12,13 @@ from .errors import (
     InvalidScale,
     StaleResolution,
 )
-from .util import snap_floor, write_csv, write_json
+from .util import SNAP, snap_floor, write_csv, write_json
 
 
 COUNT_BLOCK_ROWS = 16_384  # rows snapped per block, so temporaries stay in cache
 PAIRWISE_SUM_COLUMNS = 8  # numpy sums rows this long or longer pairwise
 TABLE_BYTES_PER_CODE = 8  # a table of span <= 8 * n bytes is no larger than n int64 codes
+MAX_CHAIN_SHIFT = 62  # cell indices are int64: a side 2^63 times the finest is counted alone
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,31 +124,189 @@ def fits_table(n: int, span: int) -> bool:
     return span <= TABLE_BYTES_PER_CODE * n
 
 
-def count_distinct(code_blocks, n: int, span: int) -> int:
-    """Number of distinct values among n int64 codes in [0, span).
+class CodeSet:
+    """The distinct values among at most n int64 codes in [0, span).
 
-    The codes arrive as an iterable of arrays.  When span <= 8 * n
-    (`fits_table`) the codes are marked in a boolean occupancy table of
-    span bytes, O(n + span) time with no sort; the table is never larger
-    than the n int64 codes it stands in for.  Sparser codes are gathered
-    and sorted by one np.unique, O(n log n).
+    When span <= 8 * n (`fits_table`) the codes are marked in a boolean
+    occupancy table of span bytes, O(n + span) time with no sort; the
+    table is never larger than the n int64 codes it stands in for.
+    Sparser codes are copied into one array of n entries as they arrive
+    and sorted there, O(n log n).
     """
-    if fits_table(n, span):
-        seen = np.zeros(span, dtype=bool)
-        for codes in code_blocks:
-            seen[codes] = True
-        return int(np.count_nonzero(seen))
-    return int(np.unique(np.concatenate(list(code_blocks))).size)
+
+    def __init__(self, n: int, span: int):
+        if fits_table(n, span):
+            self._table = np.zeros(span, dtype=bool)
+        else:
+            self._table = None
+            self._codes = np.empty(n, dtype=np.int64)
+            self._size = 0
+
+    def add(self, codes: np.ndarray) -> None:
+        if self._table is not None:
+            self._table[codes] = True
+        else:
+            end = self._size + codes.size
+            self._codes[self._size : end] = codes
+            self._size = end
+
+    def codes(self) -> np.ndarray:
+        """The distinct codes, ascending."""
+        if self._table is not None:
+            return np.flatnonzero(self._table)
+        codes = self._codes[: self._size]
+        codes.sort()  # in place: no copy of the n codes, unlike np.unique
+        first = np.empty(codes.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        return codes[first]
+
+    def count(self) -> int:
+        if self._table is not None:
+            return int(np.count_nonzero(self._table))
+        return int(self.codes().size)
 
 
-def _cell_code_blocks(points: np.ndarray, side: float, lo: np.ndarray, spans):
-    """Packed cell code of every row, COUNT_BLOCK_ROWS rows at a time."""
-    for start in range(0, points.shape[0], COUNT_BLOCK_ROWS):
-        idx = snap_floor(points[start : start + COUNT_BLOCK_ROWS], side)
-        codes = idx[:, 0] - lo[0]
-        for c in range(1, idx.shape[1]):
-            codes = codes * spans[c] + (idx[:, c] - lo[c])
-        yield codes
+def count_distinct(code_blocks, n: int, span: int) -> int:
+    """Number of distinct values among n int64 codes in [0, span) (`CodeSet`).
+
+    The codes arrive as an iterable of arrays.
+    """
+    seen = CodeSet(n, span)
+    for codes in code_blocks:
+        seen.add(codes)
+    return seen.count()
+
+
+def _pack(cells: np.ndarray, lo: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Packed code of each row of (m, d) cell indices in the box [lo, lo + spans)."""
+    codes = cells[:, 0] - lo[0]
+    for c in range(1, cells.shape[1]):
+        codes *= spans[c]
+        codes += cells[:, c] - lo[c]
+    return codes
+
+
+def _unpack(codes: np.ndarray, lo: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """(m, d) cell indices of packed codes: the inverse of `_pack`."""
+    cells = np.empty((codes.size, spans.size), dtype=np.int64)
+    for c in range(spans.size - 1, 0, -1):
+        codes, cells[:, c] = np.divmod(codes, spans[c])
+    cells[:, 0] = codes
+    cells += lo
+    return cells
+
+
+def _grid(cloud: PointCloud, delta: float):
+    """(side, lo, spans) of the cells of diameter delta over the cloud's box.
+
+    The box is the snapped cloud's bounding box, taken from the cached
+    column extremes (snap_floor is monotone).
+    """
+    side = delta / np.sqrt(cloud.dim)
+    lo, hi = snap_floor(cloud.column_bounds, side)
+    spans = hi - lo + 1
+    if float(np.prod(spans.astype(float))) >= 2**62:
+        raise InvalidScale("grid too fine to index; raise the scale")
+    return side, lo, spans
+
+
+def _chains(cloud: PointCloud, sides) -> list[tuple[list, list]]:
+    """Split scales into chains: (indices, shifts k) per chain.
+
+    The first chain holds the finest side side_f with k = 0 and every side
+    equal to ldexp(side_f, k) for 1 <= k <= MAX_CHAIN_SHIFT; every other
+    scale is a chain of its own.  Nothing is chained when a quotient of the
+    cloud's coordinates by side_f reaches 2^62, where cell indices no
+    longer fit an int64 and a shift would not stand for the coarser cell.
+    """
+    fine = int(np.argmin(sides))
+    side_f = sides[fine]
+    indices, shifts, rest = [fine], [0], []
+    indexable = float(np.abs(cloud.column_bounds).max()) / side_f < 2.0**62
+    for i, side in enumerate(sides):
+        if i == fine:
+            continue
+        k = math.frexp(side)[1] - math.frexp(side_f)[1]
+        if indexable and 1 <= k <= MAX_CHAIN_SHIFT and np.ldexp(side_f, k) == side:
+            indices.append(i)
+            shifts.append(k)
+        else:
+            rest.append(([i], [0]))
+    return [(indices, shifts)] + rest
+
+
+def _count_chain(points: np.ndarray, grids, shifts) -> list[int]:
+    """Grid counts of `points` at every scale of one chain, in one pass.
+
+    `grids[i]` is scale i's (side, lo, spans) from `_grid` and `shifts[i]`
+    its k: side_i == ldexp(side_f, k) exactly, where side_f, the finest
+    side, has k = 0.  Each count equals `grid_count` at that scale.
+
+    Exactness.  Let q = fl(x / side_f) for a coordinate x, f = floor(q)
+    and r = q - f.  Scaling by a power of two commutes with rounding, so
+    fl(x / side_i) == ldexp(q, -k) (below 2^-1022 both quotients snap to
+    cell 0), and floor(ldexp(q, -k)) == f >> k, an arithmetic shift that
+    floors negative f too.  By Sterbenz's lemma q - floor(q) is exact for
+    |q| >= 1 and within 2^-53 otherwise.  So the fraction at scale i is
+    ((f mod 2^k) + r) / 2^k up to 2^-53, and snap_floor's snap-up (a
+    fraction above 1 - SNAP) can fire at some scale of the chain only if
+    r > 1 - 2^K * 2 * SNAP, K the largest shift.  Rows with such an r in
+    some coordinate are window rows: each is snapped at every scale with
+    snap_floor's own arithmetic on ldexp(q, -k).  Every other row lies in
+    cell f >> k at every scale.
+
+    Cost: one pass over the points, COUNT_BLOCK_ROWS rows at a time, in
+    which each coordinate is divided by side_f and floored once.  The fine
+    codes of the rows outside the window go to one `CodeSet`; each window
+    row's cell at every scale goes to that scale's own `CodeSet` (made at
+    the first window row) in the same block, so no rows are kept.  After
+    the pass the fine set is reduced to its occupied cells and freed; then
+    one scale at a time, those cells are unpacked, shifted by k into the
+    scale's set and counted.  On top of the pass the work is proportional
+    to the window rows times the scales and to the occupied fine cells
+    times the scales.  A scale's set receives at most n codes (its window
+    rows' cells and at most one fine cell per other row), so its table,
+    when it has one, is at most 8 * n bytes, and a coarser scale's table is
+    about 2^(-k d) times the fine one.  With one scale (K = 0) there is no
+    window: every row is snapped in place, as snap_floor does.
+    """
+    n = points.shape[0]
+    side_f, lo_f, spans_f = grids[shifts.index(0)]
+    top = max(shifts)
+    fine = CodeSet(n, int(np.prod(spans_f)))
+    window_sets = [None] * len(grids)  # made at the first window row
+    above = 1.0 - (2.0**top * 2.0 * SNAP if top else SNAP)
+    for start in range(0, n, COUNT_BLOCK_ROWS):
+        q = points[start : start + COUNT_BLOCK_ROWS] / side_f
+        f = np.floor(q)
+        h = (q - f) > above
+        if not top:
+            f += h  # the snap-up: this is snap_floor(block, side_f)
+        c = f.astype(np.int64)
+        if not (top and h.any()):
+            fine.add(_pack(c, lo_f, spans_f))
+            continue
+        window = h.any(axis=1)
+        fine.add(_pack(c[~window], lo_f, spans_f))
+        q_window = q[window]
+        for i, ((_, lo, spans), k) in enumerate(zip(grids, shifts)):
+            if window_sets[i] is None:
+                window_sets[i] = CodeSet(n, int(np.prod(spans)))
+            window_sets[i].add(_pack(snap_floor(np.ldexp(q_window, -k), 1.0), lo, spans))
+    if not top:
+        return [fine.count()]
+    occupied = fine.codes()
+    del fine
+    counts = []
+    for i, ((_, lo, spans), k) in enumerate(zip(grids, shifts)):
+        seen = window_sets[i] or CodeSet(n, int(np.prod(spans)))
+        window_sets[i] = None  # one scale's set at a time from here on
+        for start in range(0, occupied.size, COUNT_BLOCK_ROWS):
+            cells = _unpack(occupied[start : start + COUNT_BLOCK_ROWS], lo_f, spans_f)
+            seen.add(_pack(cells >> k, lo, spans))
+        counts.append(seen.count())
+    return counts
 
 
 def grid_count(cloud: PointCloud, delta: float) -> int:
@@ -156,13 +316,12 @@ def grid_count(cloud: PointCloud, delta: float) -> int:
     on the lattice anchored at the origin.  The result brackets the true
     minimal cover: N_true <= grid_count <= 3^d * N_true.
 
-    Cost per scale: every coordinate is snapped once, COUNT_BLOCK_ROWS rows
-    at a time, and the n packed cell codes go to `count_distinct`.  Let
-    span be the number of cells in the snapped bounding box, taken from
-    the cloud's cached column extremes (snap_floor is monotone).  When
-    span <= 8 * n the occupied cells are marked in a table of span bytes,
-    at most 8 * n, in O(n + span) time; otherwise the codes are sorted,
-    O(n log n).
+    Cost: the one-scale case of `_count_chain`.  Every coordinate is
+    snapped once, COUNT_BLOCK_ROWS rows at a time, and the n packed cell
+    codes go to a `CodeSet`.  Let span be the number of cells in the
+    snapped bounding box.  When span <= 8 * n the occupied cells are
+    marked in a table of span bytes, at most 8 * n, in O(n + span) time;
+    otherwise the codes are sorted, O(n log n).
     """
     if delta <= 0:
         raise InvalidScale("scale must be positive")
@@ -173,13 +332,22 @@ def grid_count(cloud: PointCloud, delta: float) -> int:
         )
     if len(cloud) == 0:
         return 0
-    side = delta / np.sqrt(cloud.dim)
-    lo, hi = snap_floor(cloud.column_bounds, side)
-    spans = hi - lo + 1
-    if float(np.prod(spans.astype(float))) >= 2**62:
-        raise InvalidScale("grid too fine to index; raise the scale")
-    blocks = _cell_code_blocks(cloud.points, side, lo, spans)
-    return count_distinct(blocks, len(cloud), int(np.prod(spans)))
+    return _grid_counts(cloud, [delta])[0]
+
+
+def _grid_counts(cloud: PointCloud, deltas) -> list[int]:
+    """`grid_count` at each scale (all positive), one `_count_chain` per chain.
+
+    Every scale's grid is checked against the 2^62 guard before any
+    point is counted.
+    """
+    grids = [_grid(cloud, delta) for delta in deltas]
+    counts = [0] * len(grids)
+    for indices, shifts in _chains(cloud, [side for side, _, _ in grids]):
+        chain_counts = _count_chain(cloud.points, [grids[i] for i in indices], shifts)
+        for i, count in zip(indices, chain_counts):
+            counts[i] = count
+    return counts
 
 
 def dyadic_schedule(delta_max: float, delta_min: float) -> list[float]:
@@ -270,6 +438,13 @@ def estimate_dimension(cloud: PointCloud, schedule) -> CoverReport:
     Requires at least three scales, all at or above the cloud's resolution
     floor.  The RMS residual of the fit is reported so callers can reject
     regimes where the counts are not power-law-like.
+
+    Each count equals `grid_count` at its scale.  The scales whose cell
+    sides are the finest side times exact powers of two form one chain,
+    counted in one pass over the cloud (`_count_chain`), so a dyadic
+    schedule costs one pass plus work proportional to its snap-window rows
+    times its scales; every other scale is counted on its own.  Every
+    scale's grid passes the 2^62 guard before any point is counted.
     """
     schedule = [float(s) for s in schedule]
     if len(cloud) == 0:
@@ -280,7 +455,7 @@ def estimate_dimension(cloud: PointCloud, schedule) -> CoverReport:
         raise StaleResolution("schedule reaches below the resolution floor")
     if any(s2 >= s1 for s1, s2 in zip(schedule, schedule[1:])):
         raise InvalidParameter("schedule must be strictly decreasing")
-    counts = [grid_count(cloud, s) for s in schedule]
+    counts = _grid_counts(cloud, schedule)
     slope, residual = fit_slope(schedule, counts)
     return CoverReport(
         deltas=tuple(schedule),

@@ -18,7 +18,7 @@ from . import cantor
 from .boxcount import COUNT_BLOCK_ROWS, PointCloud, grid_count
 from .cantor import CantorSpec
 from .errors import InvalidParameter, InvalidScale, ResourceCap
-from .grassmann import Direction, LineFamily, canonical_vector
+from .grassmann import Direction, LineFamily, _canonical_rows
 from .util import min_pairwise_distance
 
 DEFAULT_MAX_POINTS = 20_000_000
@@ -151,17 +151,19 @@ def make_directions(d: int, count: int, density: int = 0) -> DirectionSequence:
     direction and carries a lattice net of spacing 2^{-(j^2 + density)};
     for d = 2 the net points are the angles 2^{-j-1} + i * spacing.
     Enumeration is shell by shell, so the first direction is always the
-    shell-1 start at distance about 1/4.
+    shell-1 start at distance about 1/4.  Each shell's directions are
+    built and canonicalised as one array (`grassmann._canonical_rows`).
     """
     if count < 1:
         raise InvalidParameter("need at least one direction")
     if d < 2:
         raise InvalidParameter("ambient dimension must be >= 2")
     base = Direction(np.eye(d)[0])
-    vectors: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     shells: list[tuple] = []
+    remaining = count
     for j in range(1, MAX_SHELL + 1):
-        if len(vectors) >= count:
+        if remaining == 0:
             break
         exponent = j * j + density
         spacing = 2.0**-exponent if exponent < 1000 else 0.0
@@ -170,9 +172,9 @@ def make_directions(d: int, count: int, density: int = 0) -> DirectionSequence:
         if spacing <= 0.0:
             offsets = np.zeros((1, d - 1))
         elif d == 2:
+            # only the angles this shell contributes are built
             n_j = max(1, int(np.floor(width / spacing)))
-            offsets = np.zeros((n_j, 1))
-            offsets[:, 0] = np.arange(n_j) * spacing
+            offsets = (np.arange(min(n_j, remaining)) * spacing)[:, None]
         else:
             # lattice net over the (d-1)-dim annulus, lexicographic order
             n_side = max(1, int(np.floor(2.0 * width / spacing)) + 1)
@@ -186,25 +188,23 @@ def make_directions(d: int, count: int, density: int = 0) -> DirectionSequence:
             offsets = offsets[order]
             if offsets.shape[0] == 0:
                 offsets = np.zeros((1, d - 1))
-        taken = 0
-        for off in offsets:
-            if len(vectors) >= count:
-                break
-            if d == 2:
-                theta = start + off[0]
-                v = np.array([np.cos(theta), np.sin(theta)])
-            else:
-                w = start * _first_unit(d - 1) + off
-                v = np.concatenate([[1.0], w])
-            vectors.append(canonical_vector(v))
-            taken += 1
-        if taken:
-            shells.append((j, spacing, taken))
-    if len(vectors) < count:
+        offsets = offsets[:remaining]
+        rows = np.empty((offsets.shape[0], d))
+        if d == 2:
+            theta = start + offsets[:, 0]
+            rows[:, 0] = np.cos(theta)
+            rows[:, 1] = np.sin(theta)
+        else:
+            rows[:, 0] = 1.0
+            rows[:, 1:] = start * _first_unit(d - 1) + offsets
+        blocks.append(_canonical_rows(rows))
+        remaining -= rows.shape[0]
+        shells.append((j, spacing, rows.shape[0]))
+    if remaining:
         raise ResourceCap(
-            f"direction scheme exhausted after {len(vectors)} points"
+            f"direction scheme exhausted after {count - remaining} points"
         )
-    return DirectionSequence(base, np.array(vectors), tuple(shells))
+    return DirectionSequence(base, np.concatenate(blocks), tuple(shells))
 
 
 def _first_unit(n: int) -> np.ndarray:

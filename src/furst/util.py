@@ -23,7 +23,10 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def snap_floor(values, width: float, snap: float = 1e-9) -> np.ndarray:
+SNAP = 1e-9  # snap_floor rounds quotients this close below an integer up
+
+
+def snap_floor(values, width: float, snap: float = SNAP) -> np.ndarray:
     """floor(values / width) with a snap-up for near-boundary quotients.
 
     Quotients within `snap` of the next integer are rounded up, so points

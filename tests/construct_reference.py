@@ -1,5 +1,7 @@
 """Plain forms of the box construction's builders, kept as references for the tests.
 
+`make_directions` canonicalises each direction with its own
+`canonical_vector` call; the package builds each shell as one array.
 `pair_order` sorts all M * N pairs with np.lexsort; `build_points` forms
 every point with one (K, P, d) broadcast, and `build_lines` gathers every
 pair's direction and translation by fancy indexing and projects them
@@ -15,13 +17,80 @@ import numpy as np
 from furst import cantor
 from furst.boxcount import PointCloud
 from furst.construct_box import (
+    MAX_SHELL,
+    DirectionSequence,
+    _first_unit,
     _floor_from_exponent,
-    make_directions,
     make_translations,
 )
-from furst.errors import ResourceCap
-from furst.grassmann import LineFamily
+from furst.errors import InvalidParameter, ResourceCap
+from furst.grassmann import Direction, LineFamily, canonical_vector
 from furst.util import min_pairwise_distance
+
+
+def make_directions(d, count, density=0):
+    """The old scalar builder: one `canonical_vector` call per direction.
+
+    Directions in shells around the first coordinate axis.
+
+    Shell j occupies angular distance [2^{-j-1}, 2^{-j}) from the base
+    direction and carries a lattice net of spacing 2^{-(j^2 + density)};
+    for d = 2 the net points are the angles 2^{-j-1} + i * spacing.
+    Enumeration is shell by shell, so the first direction is always the
+    shell-1 start at distance about 1/4.
+    """
+    if count < 1:
+        raise InvalidParameter("need at least one direction")
+    if d < 2:
+        raise InvalidParameter("ambient dimension must be >= 2")
+    base = Direction(np.eye(d)[0])
+    vectors: list[np.ndarray] = []
+    shells: list[tuple] = []
+    for j in range(1, MAX_SHELL + 1):
+        if len(vectors) >= count:
+            break
+        exponent = j * j + density
+        spacing = 2.0**-exponent if exponent < 1000 else 0.0
+        start = 2.0 ** -(j + 1)
+        width = 2.0 ** -(j + 1)  # shell spans [2^{-j-1}, 2^{-j})
+        if spacing <= 0.0:
+            offsets = np.zeros((1, d - 1))
+        elif d == 2:
+            n_j = max(1, int(np.floor(width / spacing)))
+            offsets = np.zeros((n_j, 1))
+            offsets[:, 0] = np.arange(n_j) * spacing
+        else:
+            # lattice net over the (d-1)-dim annulus, lexicographic order
+            n_side = max(1, int(np.floor(2.0 * width / spacing)) + 1)
+            axes = [np.arange(-n_side, n_side + 1) * spacing] * (d - 1)
+            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            grid = grid.reshape(-1, d - 1)
+            radii = np.linalg.norm(grid, axis=1)
+            keep = (radii >= start) & (radii < start + width)
+            offsets = grid[keep] - start * _first_unit(d - 1)
+            order = np.lexsort(offsets.T[::-1])
+            offsets = offsets[order]
+            if offsets.shape[0] == 0:
+                offsets = np.zeros((1, d - 1))
+        taken = 0
+        for off in offsets:
+            if len(vectors) >= count:
+                break
+            if d == 2:
+                theta = start + off[0]
+                v = np.array([np.cos(theta), np.sin(theta)])
+            else:
+                w = start * _first_unit(d - 1) + off
+                v = np.concatenate([[1.0], w])
+            vectors.append(canonical_vector(v))
+            taken += 1
+        if taken:
+            shells.append((j, spacing, taken))
+    if len(vectors) < count:
+        raise ResourceCap(
+            f"direction scheme exhausted after {len(vectors)} points"
+        )
+    return DirectionSequence(base, np.array(vectors), tuple(shells))
 
 
 def pair_order(M, N):

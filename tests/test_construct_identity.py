@@ -76,6 +76,46 @@ def test_pair_order_matches_lexsort_any_shape(M, N):
     assert_same_pair_order(M, N)
 
 
+# ------------------------------------------------------------- directions
+
+
+def assert_same_directions(d, count, density):
+    got = construct_box.make_directions(d, count, density)
+    want = construct_reference.make_directions(d, count, density)
+    assert_same_array(got.vectors, want.vectors)
+    assert_same_array(got.base.vector, want.base.vector)
+    assert got.shells == want.shells
+
+
+@pytest.mark.parametrize("d,count,density", [
+    (2, 2048, 12), (2, 64, 0), (2, 8, 0), (2, 1, 0), (3, 64, 0), (4, 40, 2),
+])
+def test_make_directions_matches_scalar_builder(d, count, density):
+    assert_same_directions(d, count, density)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 20))
+def test_planar_make_directions_matches_scalar_builder(count, density):
+    # the scalar builder allocates shell 1's 2^(density - 1) angles in full
+    assert_same_directions(2, count, density)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 1))
+def test_spatial_make_directions_matches_scalar_builder(count, density):
+    assert_same_directions(3, count, density)
+
+
+def test_planar_make_directions_builds_only_the_angles_taken():
+    # shell 1 has 2^39 angles at density 40; three are taken
+    dirs = construct_box.make_directions(2, 3, 40)
+    assert dirs.shells == ((1, 2.0**-41, 3),)
+    theta = 0.25 + np.arange(3) * 2.0**-41
+    want = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    assert_same_array(dirs.vectors, want / np.linalg.norm(want, axis=1)[:, None])
+
+
 # ------------------------------------------------------------- builders
 
 
