@@ -53,6 +53,7 @@ from .grassmann import (
     LineFamily,
     MeshCellId,
     direction_cover,
+    line_distances,
     mesh_cells,
     mesh_cover_count,
     metric_d1,
@@ -102,6 +103,7 @@ __all__ = [
     "intersection_profile",
     "k_of_delta",
     "l_of_delta",
+    "line_distances",
     "make_directions",
     "make_translations",
     "mesh_cells",

@@ -12,7 +12,7 @@ from .errors import (
     InvalidScale,
     StaleResolution,
 )
-from .util import SNAP, snap_floor, write_csv, write_json
+from .util import SNAP, require_indexable, snap_floor, write_csv, write_json
 
 
 COUNT_BLOCK_ROWS = 16_384  # rows snapped per block, so temporaries stay in cache
@@ -201,9 +201,12 @@ def _grid(cloud: PointCloud, delta: float):
     """(side, lo, spans) of the cells of diameter delta over the cloud's box.
 
     The box is the snapped cloud's bounding box, taken from the cached
-    column extremes (snap_floor is monotone).
+    column extremes (snap_floor is monotone).  A scale at which the
+    largest coordinate over the side reaches 2^61 is refused first
+    (`require_indexable`), so no cell index wraps.
     """
     side = delta / np.sqrt(cloud.dim)
+    require_indexable(float(np.abs(cloud.column_bounds).max()), side, delta)
     lo, hi = snap_floor(cloud.column_bounds, side)
     spans = hi - lo + 1
     if float(np.prod(spans.astype(float))) >= 2**62:
@@ -211,24 +214,23 @@ def _grid(cloud: PointCloud, delta: float):
     return side, lo, spans
 
 
-def _chains(cloud: PointCloud, sides) -> list[tuple[list, list]]:
+def _chains(sides) -> list[tuple[list, list]]:
     """Split scales into chains: (indices, shifts k) per chain.
 
     The first chain holds the finest side side_f with k = 0 and every side
     equal to ldexp(side_f, k) for 1 <= k <= MAX_CHAIN_SHIFT; every other
-    scale is a chain of its own.  Nothing is chained when a quotient of the
-    cloud's coordinates by side_f reaches 2^62, where cell indices no
-    longer fit an int64 and a shift would not stand for the coarser cell.
+    scale is a chain of its own.  The sides come from `_grid`, so every
+    quotient of the cloud's coordinates by side_f is below 2^61 and each
+    fine cell index fits an int64.
     """
     fine = int(np.argmin(sides))
     side_f = sides[fine]
     indices, shifts, rest = [fine], [0], []
-    indexable = float(np.abs(cloud.column_bounds).max()) / side_f < 2.0**62
     for i, side in enumerate(sides):
         if i == fine:
             continue
         k = math.frexp(side)[1] - math.frexp(side_f)[1]
-        if indexable and 1 <= k <= MAX_CHAIN_SHIFT and np.ldexp(side_f, k) == side:
+        if 1 <= k <= MAX_CHAIN_SHIFT and np.ldexp(side_f, k) == side:
             indices.append(i)
             shifts.append(k)
         else:
@@ -338,12 +340,12 @@ def grid_count(cloud: PointCloud, delta: float) -> int:
 def _grid_counts(cloud: PointCloud, deltas) -> list[int]:
     """`grid_count` at each scale (all positive), one `_count_chain` per chain.
 
-    Every scale's grid is checked against the 2^62 guard before any
-    point is counted.
+    Every scale's grid is checked against the 2^61 index limit and the
+    2^62 guard (`_grid`) before any point is counted.
     """
     grids = [_grid(cloud, delta) for delta in deltas]
     counts = [0] * len(grids)
-    for indices, shifts in _chains(cloud, [side for side, _, _ in grids]):
+    for indices, shifts in _chains([side for side, _, _ in grids]):
         chain_counts = _count_chain(cloud.points, [grids[i] for i in indices], shifts)
         for i, count in zip(indices, chain_counts):
             counts[i] = count
@@ -444,7 +446,8 @@ def estimate_dimension(cloud: PointCloud, schedule) -> CoverReport:
     counted in one pass over the cloud (`_count_chain`), so a dyadic
     schedule costs one pass plus work proportional to its snap-window rows
     times its scales; every other scale is counted on its own.  Every
-    scale's grid passes the 2^62 guard before any point is counted.
+    scale's grid passes the 2^61 index limit and the 2^62 guard before any
+    point is counted.
     """
     schedule = [float(s) for s in schedule]
     if len(cloud) == 0:

@@ -9,7 +9,7 @@ check.
 """
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +26,12 @@ from .grassmann import (
     AffineLine,
     Direction,
     LineFamily,
+    _canonical_rows,
     _gram_schmidt_frame,
-    canonical_vector,
+    _row_dots,
+    first_close_pair,
+    line_distances,
     mesh_cover_count,
-    metric_d1,
 )
 
 SEPARATION_TOL = 1e-12
@@ -38,6 +40,7 @@ SEPARATION_TOL = 1e-12
 ENVELOPE_CONSTANT = 8.0
 DEFAULT_MAX_LINES = 200_000
 DEFAULT_MAX_MARKS = 500_000
+NET_LATTICE_BLOCK = 1 << 14  # lattice points of a line net built per block
 
 OPTION_LINES = "lines"  # spread lines, transport marks
 OPTION_MARKS = "marks"  # keep lines, spread marks along them
@@ -49,7 +52,8 @@ class ScaleSchedule:
 
     strict mode enforces eta_{k+1} <= eta_k^k, the decay the limiting
     argument needs; demo mode only asks for a fixed geometric drop (>= 16x)
-    and is flagged because its o(1) terms do not vanish.
+    and is flagged because its o(1) terms do not vanish.  Every scale must
+    be a normal float (at least 2^-1022).
     """
 
     etas: tuple
@@ -65,6 +69,11 @@ class ScaleSchedule:
             raise InvalidParameter("schedule must be strictly decreasing")
         if any(e <= 0 for e in etas):
             raise InvalidParameter("scales must be positive")
+        if any(e < sys.float_info.min for e in etas):
+            raise InvalidParameter(
+                "scales must be normal floats: a subnormal scale has lost "
+                "precision (below 2.2e-308)"
+            )
         for k in range(len(etas) - 1):
             if mode == "strict" and etas[k + 1] > etas[k] ** k * (1 + 1e-12):
                 raise InvalidParameter(
@@ -119,23 +128,31 @@ class MarkedLineState:
     def line_family(self, floor=None) -> LineFamily:
         return LineFamily.from_lines(self.lines, floor or self.eta / 4.0)
 
+    def line_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, d) arrays of the lines' directions and translations."""
+        if not self.lines:
+            return np.empty((0, self.d)), np.empty((0, self.d))
+        return (np.array([ln.direction.vector for ln in self.lines]),
+                np.array([ln.translation for ln in self.lines]))
+
     def check_separations(self, tol: float = SEPARATION_TOL) -> None:
-        """Separation checks, to rounding (tolerance `tol` relative).
+        """Exhaustive separation checks, to rounding (tolerance `tol` relative).
 
         Lines pairwise >= eta in the line metric; marks on each line
         pairwise >= eta; every mark on its line.  Raises SoundnessViolation
-        on the first violation.  The mark checks are exhaustive; so is the
-        line check up to 1500 lines, above which `_separation_pairs` checks
-        a sample of line pairs and warns.
+        on the first violation.  Every pair of lines is checked:
+        `grassmann.first_close_pair` measures the pairs whose translations
+        lie in neighbouring cells of side about eta, the only pairs that
+        can be closer than eta, and reports the lexicographically first
+        pair below it.
         """
         floor = self.eta * (1.0 - tol)
-        pairs = _separation_pairs(self.num_lines)
-        for i, j in pairs:
-            dist = metric_d1(self.lines[i], self.lines[j])
-            if not dist >= floor:
-                raise SoundnessViolation(
-                    f"lines {i},{j} at distance {dist:.3e} < eta {self.eta:.3e}"
-                )
+        close = first_close_pair(*self.line_arrays(), floor)
+        if close is not None:
+            i, j, dist = close
+            raise SoundnessViolation(
+                f"lines {i},{j} at distance {dist:.3e} < eta {self.eta:.3e}"
+            )
         for i, (line, marks) in enumerate(zip(self.lines, self.marks)):
             if marks.shape[0] < 1:
                 raise SoundnessViolation(f"line {i} lost all marks")
@@ -149,30 +166,6 @@ class MarkedLineState:
                     raise SoundnessViolation(
                         f"marks on line {i} at gap {gaps.min():.3e} < eta"
                     )
-
-
-def _separation_pairs(n: int, exhaustive_limit: int = 1500):
-    """Line index pairs to separation-check.
-
-    All pairs up to `exhaustive_limit` lines; beyond that, a fixed-seed
-    sample of 10 * n pairs that includes all consecutive pairs (exhaustive
-    checking would be quadratic), with a warning naming the line count and
-    the number of pairs checked.
-    """
-    if n <= exhaustive_limit:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rng = np.random.default_rng(1)
-    sampled = {(i, i + 1) for i in range(n - 1)}
-    while len(sampled) < min(10 * n, n * (n - 1) // 2):
-        i, j = rng.integers(0, n, size=2)
-        if i != j:
-            sampled.add((min(i, j), max(i, j)))
-    warnings.warn(
-        f"line separation sampled: {len(sampled)} of {n * (n - 1) // 2} pairs "
-        f"of {n} lines checked",
-        stacklevel=3,
-    )
-    return sorted(sampled)
 
 
 def initial_state(d: int, s: float, t: float) -> MarkedLineState:
@@ -207,10 +200,6 @@ def mark_spread_radius(state: MarkedLineState, eta_next: float) -> float:
     return eta_next ** (1.0 - state.s) * state.eta / 2.0
 
 
-def _perp_2d(v: np.ndarray) -> np.ndarray:
-    return np.array([-v[1], v[0]])
-
-
 def _line_net(line: AffineLine, radius: float, sep: float) -> list[AffineLine]:
     """Greedy maximal sep-separated net of lines in the radius-ball.
 
@@ -219,80 +208,119 @@ def _line_net(line: AffineLine, radius: float, sep: float) -> list[AffineLine]:
     candidate is kept when it is at least `sep` from every kept line in
     the line metric.  When the radius falls below the lattice step the
     center line itself is kept, so the net is never empty.
+
+    A direction offset c turns the center direction v0 by c along
+    `_gram_schmidt_frame(v0)` (in the plane: by the angle c), and a
+    translation offset moves the center translation, projected off the
+    new direction v, along v's own frame (in the plane: its normal).  The
+    lattice is built as arrays, NET_LATTICE_BLOCK points at a time in
+    lexicographic order.  A block drops the points whose offsets' l1
+    norm, summed left to right, is over the radius; then builds each
+    remaining distinct direction once (`_net_directions`) and every
+    candidate line from it, and drops those over the radius in the line
+    metric.  The greedy test measures each remaining candidate against all
+    lines kept so far in one `line_distances` call.  Every value is the
+    one the candidate-at-a-time form computes, bit for bit.
+
+    Cost, with L = (2 span + 1)^(2(d-1)) lattice points, span =
+    floor(2 radius / sep), m candidates within the radius and k kept
+    lines: O(L d) array work, one Gram-Schmidt frame per distinct
+    direction within the radius, and m kernel calls of at most k rows
+    each; no temporary is larger than a block of the lattice.
     """
     d = line.dim
     h = sep / 2.0
     span = int(math.floor(radius / h + 1e-12))
-    theta0 = line.direction.angle() if d == 2 else None
+    limit = radius * (1 + 1e-9)
+    floor = sep * (1.0 - SEPARATION_TOL)
+    axes = (2 * span + 1,) * (2 * (d - 1))
+    per_direction = (2 * span + 1) ** (d - 1)
+    center = (line.direction.vector[None], line.translation[None])
     kept: list[AffineLine] = []
-
-    def candidate(dir_off, trans_off) -> AffineLine | None:
-        if d == 2:
-            theta = theta0 + dir_off[0]
-            v = canonical_vector([math.cos(theta), math.sin(theta)])
-        else:
-            v0 = line.direction.vector
-            w = v0.copy()
-            frame = _gram_schmidt_frame(v0)
-            for c, f in zip(dir_off, frame):
-                w = w + c * f
-            v = canonical_vector(w)
-        base = line.translation - (line.translation @ v) * v
-        if d == 2:
-            normal = _perp_2d(v)
-            a = base + trans_off[0] * normal
-        else:
-            frame_perp = _gram_schmidt_frame(v)
-            a = base.copy()
-            for c, f in zip(trans_off, frame_perp):
-                a = a + c * f
-        cand = AffineLine(Direction(v), a - (a @ v) * v)
-        if metric_d1(cand, line) > radius * (1 + 1e-9):
-            return None
-        return cand
-
-    n_axes = 2 * (d - 1)
-    offsets = [np.arange(-span, span + 1) * h] * n_axes
-    for combo in _lex_grid(offsets):
-        if sum(abs(c) for c in combo) > radius * (1 + 1e-9):
-            continue  # cheap l1 prefilter; the metric check below is exact
-        cand = candidate(combo[: d - 1], combo[d - 1 :])
-        if cand is None:
+    kept_dirs = np.empty((16, d))
+    kept_trans = np.empty((16, d))
+    total = (2 * span + 1) ** len(axes)
+    for start in range(0, total, NET_LATTICE_BLOCK):
+        flat = np.arange(start, min(start + NET_LATTICE_BLOCK, total))
+        offsets = [(g - span) * h for g in np.unravel_index(flat, axes)]
+        l1 = np.abs(offsets[0])
+        for off in offsets[1:]:
+            l1 = l1 + np.abs(off)
+        inside = np.flatnonzero(~(l1 > limit))  # cheap prefilter
+        if not inside.size:
             continue
-        if all(
-            metric_d1(cand, q) >= sep * (1.0 - SEPARATION_TOL) for q in kept
-        ):
-            kept.append(cand)
+        _, first, which = np.unique(
+            flat[inside] // per_direction, return_index=True, return_inverse=True
+        )
+        v, canon, base, frames = _net_directions(
+            line, [off[inside[first]] for off in offsets[: d - 1]]
+        )
+        v, canon = v[which], canon[which]
+        a = base[which]
+        for c, off in enumerate(offsets[d - 1 :]):
+            a = a + off[inside][:, None] * frames[which, c]
+        trans = a - _row_dots(a, v)[:, None] * v
+        near = ~(line_distances(canon, trans, *center) > limit)
+        for c in np.flatnonzero(near):
+            n = len(kept)
+            if n and not (
+                line_distances(canon[c : c + 1], trans[c : c + 1],
+                               kept_dirs[:n], kept_trans[:n]) >= floor
+            ).all():
+                continue
+            if n == len(kept_dirs):
+                kept_dirs = np.concatenate([kept_dirs, kept_dirs])
+                kept_trans = np.concatenate([kept_trans, kept_trans])
+            kept_dirs[n], kept_trans[n] = canon[c], trans[c]
+            kept.append(AffineLine(Direction(v[c]), trans[c]))
     if not kept:  # radius below the lattice step: keep the center
         kept.append(line)
     return kept
 
 
-def _lex_grid(axes):
-    if len(axes) == 1:
-        for x in axes[0]:
-            yield (x,)
-        return
-    for x in axes[0]:
-        for rest in _lex_grid(axes[1:]):
-            yield (x, *rest)
+def _net_directions(line: AffineLine, offsets):
+    """The candidate directions of `_line_net` at some direction offsets.
 
-
-def _transfer_mark(x: np.ndarray, old_dir: np.ndarray, new_line: AffineLine) -> np.ndarray:
-    """One mark on the new line for the old mark x.
-
-    Intersects the new line with the hyperplane through x orthogonal to
-    the old line when the intersection exists; otherwise falls back to the
-    point of the new line nearest to x.
+    `offsets` holds d - 1 arrays, one per coordinate of the offsets.
+    Returns, one row per offset: the canonical direction v, its
+    re-canonicalised form (what `Direction(v)` stores), the center
+    translation projected off v, and v's translation frame, an (m, d - 1,
+    d) array (in the plane the normal (-v_2, v_1); in d >= 3
+    `_gram_schmidt_frame(v)`, one call per row).  The planar angles are
+    turned into vectors with math.cos / math.sin, one value at a time,
+    whose rounding numpy's array functions need not share.
     """
-    vp = new_line.direction.vector
-    p = new_line.translation
-    denom = float(vp @ old_dir)
-    if abs(denom) < 1e-9:
-        tau = float((x - p) @ vp)
+    d = line.dim
+    v0 = line.direction.vector
+    if d == 2:
+        theta = line.direction.angle() + offsets[0]
+        v = _canonical_rows(np.array([[math.cos(x), math.sin(x)] for x in theta.tolist()]))
+        frames = np.stack([-v[:, 1], v[:, 0]], axis=1)[:, None, :]
     else:
-        tau = float((x - p) @ old_dir) / denom
-    return p + tau * vp
+        w = v0
+        for off, f in zip(offsets, _gram_schmidt_frame(v0)):
+            w = w + off[:, None] * f
+        v = _canonical_rows(w)
+        frames = np.array([_gram_schmidt_frame(row) for row in v])
+    a0 = np.broadcast_to(line.translation, v.shape)
+    base = a0 - _row_dots(a0, v)[:, None] * v
+    return v, _canonical_rows(v), base, frames
+
+
+def _transfer_marks(marks: np.ndarray, old_dir: np.ndarray, dirs, trans) -> np.ndarray:
+    """(k, m, d) marks on each of k new lines for the m old marks.
+
+    Each old mark x goes to the intersection of the new line with the
+    hyperplane through x orthogonal to the old line when the intersection
+    exists (|<v', v>| >= 1e-9); otherwise to the point of the new line
+    nearest to x.  One array pass per net, every dot product a stacked
+    one (`grassmann._row_dots`).
+    """
+    rel = marks[None, :, :] - trans[:, None, :]
+    denom = _row_dots(dirs, old_dir)[:, None]
+    tau = _row_dots(rel, dirs[:, None, :])  # the nearest point
+    np.divide(_row_dots(rel, old_dir), denom, out=tau, where=~(np.abs(denom) < 1e-9))
+    return trans[:, None, :] + tau[..., None] * dirs[:, None, :]
 
 
 def spread_lines(state: MarkedLineState, eta_next: float) -> MarkedLineState:
@@ -310,12 +338,10 @@ def spread_lines(state: MarkedLineState, eta_next: float) -> MarkedLineState:
     new_marks: list[np.ndarray] = []
     for line, marks in zip(state.lines, state.marks):
         net = _line_net(line, radius, eta_next)
-        for nl in net:
-            transferred = np.array(
-                [_transfer_mark(x, line.direction.vector, nl) for x in marks]
-            )
-            new_lines.append(nl)
-            new_marks.append(transferred)
+        dirs = np.array([nl.direction.vector for nl in net])
+        trans = np.array([nl.translation for nl in net])
+        new_lines.extend(net)
+        new_marks.extend(_transfer_marks(marks, line.direction.vector, dirs, trans))
     out = MarkedLineState(
         k=state.k + 1,
         eta=eta_next,
@@ -513,7 +539,8 @@ def intersection_profile(states, line: AffineLine, delta: float) -> IntervalProf
         raise InvalidParameter("delta is coarser than the whole trajectory")
     k = max(ks)
     state = states[k]
-    dists = [metric_d1(line, ln) for ln in state.lines]
+    dists = line_distances(line.direction.vector[None], line.translation[None],
+                           *state.line_arrays())
     nearest = int(np.argmin(dists))
     if dists[nearest] > state.eta:
         raise NotInFamily(

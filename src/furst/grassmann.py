@@ -9,6 +9,8 @@ covers of direction space at a scale, and the mesh counter used to measure
 covering numbers of line families.
 """
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -16,15 +18,26 @@ from functools import cached_property
 import numpy as np
 
 from .boxcount import COUNT_BLOCK_ROWS, _squared_norms, count_distinct
-from .errors import InvalidParameter, InvalidScale, ResourceCap, StaleResolution
-from .util import derive_seed, snap_floor
+from .errors import (
+    InvalidParameter,
+    InvalidScale,
+    ResourceCap,
+    StaleResolution,
+    UnsupportedScale,
+)
+from .util import derive_seed, require_indexable, snap_floor
 
 ORTHO_TOL = 1e-12
 ASSIGN_BLOCK_ROWS = 64  # rows compared with every cover centre per block
 NET_CANDIDATE_CAP = 400_000  # most candidates a d >= 3 greedy net may test
+# most buckets of a planar cover: its centres and angles take 24 bytes per
+# bucket and mesh_assign's sine and cosine tables 16 more, so a cover at
+# 2^-24 (52.7 M buckets) peaks near 2 GB; 2^-25 would need 105 M
+PLANAR_BUCKET_CAP = 2**26
 NET_BLOCK_ROWS = 128  # d = 3 candidates tested against their bands per block
 NET_MARGIN = 1e-12  # a blocked |cos| this close to the limit decides nothing
 NET_BAND_SLACK = 1e-9  # added to the band radius for rounding in the heights
+SEPARATION_PAIR_BLOCK = 1 << 16  # candidate line pairs measured per kernel call
 
 
 def canonical_vector(v) -> np.ndarray:
@@ -122,24 +135,182 @@ def standard_form(point, direction) -> AffineLine:
 def projection_distance(u, v) -> float:
     """Operator norm of the difference of the two rank-1 projections.
 
-    Equals the sine of the principal angle.  Computed as the norm of the
-    component of u orthogonal to v, which agrees with sqrt(1 - <u, v>^2)
-    for unit representatives but stays accurate when the directions nearly
-    coincide (no cancellation near <u, v> = +-1).
+    Equals the sine of the principal angle: the one-row case of
+    `_projection_distances`.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if tuple(u) > tuple(v):  # fixed argument order makes symmetry exact
-        u, v = v, u
-    perp = u - float(u @ v) * v
-    return min(1.0, float(np.linalg.norm(perp)))
+    return float(_projection_distances(u[None], v[None])[0])
 
 
 def metric_d1(line_a: AffineLine, line_b: AffineLine) -> float:
-    """Distance on line space: projection-norm term plus translation term."""
-    return projection_distance(
-        line_a.direction.vector, line_b.direction.vector
-    ) + float(np.linalg.norm(line_a.translation - line_b.translation))
+    """Distance on line space: the one-row case of `line_distances`."""
+    return float(line_distances(
+        line_a.direction.vector[None], line_a.translation[None],
+        line_b.direction.vector[None], line_b.translation[None],
+    )[0])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each pair of matching rows (last axis); leading axes broadcast.
+
+    Each is one stacked (1, d) @ (d, 1) product, which numpy hands to the
+    BLAS ddot that `u @ v` and `np.linalg.norm` use for one pair of
+    vectors, so every value is theirs bit for bit.  The rows' entries must
+    be adjacent in memory, as they are in every array built here.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _projection_distances(dirs_a, dirs_b) -> np.ndarray:
+    """Projection distance of each pair of rows of two (n, d) arrays (rows broadcast).
+
+    Computed as the norm of the component of u orthogonal to v, which
+    agrees with sqrt(1 - <u, v>^2) for unit representatives but stays
+    accurate when the directions nearly coincide (no cancellation near
+    <u, v> = +-1), and capped at 1.  The pair is first put in tuple order
+    (u is the row that is not lexicographically greater, comparing entries
+    with ==, so -0.0 equals 0.0), which makes the distance exactly
+    symmetric.
+    """
+    swap = dirs_a[:, 0] > dirs_b[:, 0]
+    undecided = dirs_a[:, 0] == dirs_b[:, 0]
+    for c in range(1, dirs_a.shape[1]):
+        swap |= undecided & (dirs_a[:, c] > dirs_b[:, c])
+        undecided &= dirs_a[:, c] == dirs_b[:, c]
+    u = np.where(swap[:, None], dirs_b, dirs_a)
+    v = np.where(swap[:, None], dirs_a, dirs_b)
+    perp = u - _row_dots(u, v)[:, None] * v
+    norm = np.sqrt(_row_dots(perp, perp))
+    return np.where(norm < 1.0, norm, 1.0)  # min(1.0, norm)
+
+
+def line_distances(dirs_a, trans_a, dirs_b, trans_b) -> np.ndarray:
+    """`metric_d1` of each pair of rows, bit for bit; rows broadcast.
+
+    The lines are given as (n, d) arrays of canonical directions and
+    translations, and a (1, d) side stands for one line measured against
+    n others.  The distance is the projection-norm term
+    (`_projection_distances`) plus the Euclidean distance of the
+    translations, each dot product a stacked one (`_row_dots`).
+
+    Cost: O(n * d) in about two dozen array operations and no Python work
+    per row; temporaries are a few (n, d) arrays.
+    """
+    dirs_a = np.asarray(dirs_a, dtype=float)
+    dirs_b = np.asarray(dirs_b, dtype=float)
+    diff = np.asarray(trans_a, dtype=float) - np.asarray(trans_b, dtype=float)
+    return _projection_distances(dirs_a, dirs_b) + np.sqrt(_row_dots(diff, diff))
+
+
+def first_close_pair(directions, translations, floor: float):
+    """The lexicographically first pair i < j of lines whose distance is below floor.
+
+    The lines are rows of (n, d) arrays of finite canonical directions and
+    translations.  Returns (i, j, distance), where the distance is
+    `line_distances` of rows i and j and "below" means not >= floor (a
+    nan distance counts), or None when no pair is below: the result of
+    measuring all n (n - 1) / 2 pairs in order, found by measuring only
+    pairs whose translations lie in neighbouring cells of a grid (a
+    fixed-radius near-neighbour search).
+
+    Why no pair is missed.  A distance is fl(proj + t) >= t, the computed
+    translation distance, because proj >= 0; and t is at least the exact
+    |a_i - a_j| (1 - (d + 2) 2^-53).  So a pair below floor differs by
+    less than floor (1 + (d + 3) 2^-52) in every coordinate.  Each
+    coordinate x with |x| <= R (the largest one) goes to cell
+    floor(fl(x / side)), and fl(x / side) is within 2^-53 R / side of
+    x / side.  With side = floor + 2^-48 ((d + 4) floor + R), two such
+    coordinates have quotients less than 1 apart, so their cells differ by
+    at most 1.  The side is also at least 2^-48 R, so cell indices stay
+    below 2^48.  A row with a non-finite translation is paired with every
+    other row.
+
+    Cells are hashed to int64 codes by a mixed-radix number (exact while
+    the padded grid has fewer than 2^63 cells, wrapping beyond, where two
+    cells may share a code and a pair is measured needlessly but never
+    missed).  Sorting the codes once, each of the (3^d + 1) / 2 offsets
+    that are zero or lexicographically positive finds every row's
+    neighbours by binary search.
+
+    Cost: O(n log n) for the sort and searches, plus the kernel on the
+    candidate pairs, SEPARATION_PAIR_BLOCK at a time: about n times the
+    lines whose translations lie within 3^d cells of side ~ floor.
+    """
+    dirs = np.asarray(directions, dtype=float)
+    trans = np.asarray(translations, dtype=float)
+    n, d = trans.shape
+    best = None  # (i, j, distance)
+
+    def measure(i, j):
+        nonlocal best
+        dist = line_distances(dirs[i], trans[i], dirs[j], trans[j])
+        below = np.flatnonzero(~(dist >= floor))
+        if below.size:
+            first = below[np.lexsort((j[below], i[below]))[0]]
+            pair = (int(i[first]), int(j[first]), float(dist[first]))
+            if best is None or pair[:2] < best[:2]:
+                best = pair
+
+    finite = np.isfinite(trans).all(axis=1)
+    for b in np.flatnonzero(~finite):
+        others = np.delete(np.arange(n), b)
+        measure(np.minimum(others, b), np.maximum(others, b))
+    rows = np.flatnonzero(finite)
+    if rows.size < 2:
+        return best
+    reach = float(np.abs(trans[rows]).max())
+    f = max(float(floor), 0.0)
+    side = max(f + 2.0**-48 * ((d + 4) * f + reach), np.finfo(float).tiny)
+    cells = np.floor(trans[rows] / side).astype(np.int64)
+    lo = cells.min(axis=0) - 1
+    radix = [int(r) for r in cells.max(axis=0) - lo + 2]
+    codes = cells[:, 0] - lo[0]
+    for c in range(1, d):
+        codes *= radix[c]  # wraps mod 2^64 past 2^63 cells
+        codes += cells[:, c] - lo[c]
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    rows = rows[order]
+    ends = np.searchsorted(codes, codes, side="right")
+    for offset in itertools.product((0, 1, -1), repeat=d):
+        if any(offset) and next(o for o in offset if o) < 0:
+            continue  # the pair is found from the other cell
+        shift = 0
+        for o, r in zip(offset, radix):
+            shift = shift * r + o
+        if any(offset):
+            target = codes + np.int64((shift + 2**63) % 2**64 - 2**63)
+            first = np.searchsorted(codes, target, side="left")
+            counts = np.searchsorted(codes, target, side="right") - first
+        else:  # the later rows of the same cell
+            first = np.arange(1, rows.size + 1)
+            counts = ends - first
+        for src, dst in _ragged_pairs(first, counts, SEPARATION_PAIR_BLOCK):
+            i, j = rows[src], rows[dst]
+            measure(np.minimum(i, j), np.maximum(i, j))
+    return best
+
+
+def _ragged_pairs(first: np.ndarray, counts: np.ndarray, block: int):
+    """(sources, partners) index arrays pairing each p with first[p] + 0 .. counts[p] - 1.
+
+    Yielded in runs of about `block` pairs (a source whose partners alone
+    pass it comes as one run).
+    """
+    total = np.cumsum(counts)
+    start = 0
+    while start < counts.size:
+        done = int(total[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(total, done + block, side="right")), start + 1)
+        cnt = counts[start:stop]
+        size = int(cnt.sum())
+        if size:
+            src = np.repeat(np.arange(start, stop), cnt)
+            dst = np.arange(size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            dst += np.repeat(first[start:stop], cnt)
+            yield src, dst
+        start = stop
 
 
 def _fixed_order_cos(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -256,7 +427,10 @@ def direction_cover(d: int, delta: float) -> DirectionCover:
     direction is within delta of its bucket center in the projection
     metric and the bucket count is <= ceil(pi / arcsin(delta)), i.e. about
     pi * delta^{-1}.  delta = 1 (the diameter of planar direction space)
-    is served by a single bucket.
+    is served by a single bucket.  A count above PLANAR_BUCKET_CAP (delta
+    below about 4.7e-8, between 2^-25 and 2^-24) raises ResourceCap and
+    one of 2^62 or more UnsupportedScale, before anything is built
+    (`_planar_bucket_count`).
 
     d>=3: greedy maximal (0.6*delta)-separated net over the
     ceil((6/delta)^(d-1)) candidate directions of `_net_candidate_count`; its
@@ -279,7 +453,7 @@ def direction_cover(d: int, delta: float) -> DirectionCover:
             centers = np.array([[1.0, 0.0]])
             return DirectionCover(2, delta, centers, angle_width=float(np.pi))
         width = min(float(np.arcsin(delta)), np.pi / 2)
-        n = int(np.ceil(np.pi / width))
+        n = _planar_bucket_count(width, delta)
         angles = (np.arange(n) + 0.5) * width
         centers = np.column_stack([np.cos(angles), np.sin(angles)])
         flip = (centers[:, 0] < 0) | ((centers[:, 0] == 0) & (centers[:, 1] < 0))
@@ -287,6 +461,28 @@ def direction_cover(d: int, delta: float) -> DirectionCover:
         centers += 0.0
         return DirectionCover(2, delta, centers, angle_width=width)
     return DirectionCover(d, delta, _greedy_sphere_net(d, delta))
+
+
+def _planar_bucket_count(width: float, delta: float) -> int:
+    """ceil(pi / width) buckets of the planar cover at `delta`, before any is built.
+
+    A count that reaches 2^62 (delta below about 7e-19, where pi / width
+    may even overflow) cannot index an int64 bucket: UnsupportedScale.
+    One above PLANAR_BUCKET_CAP raises ResourceCap.
+    """
+    ratio = np.pi / width
+    if not ratio < 2.0**62:
+        raise UnsupportedScale(
+            f"a planar direction cover at scale {delta:.3e} needs 2^62 or more "
+            "buckets, past int64 bucket indices"
+        )
+    count = math.ceil(ratio)
+    if count > PLANAR_BUCKET_CAP:
+        raise ResourceCap(
+            f"a planar direction cover at scale {delta:.3e} needs {count:,} "
+            f"buckets, above the cap of {PLANAR_BUCKET_CAP:,}"
+        )
+    return count
 
 
 def _net_candidate_count(d: int, delta: float) -> int:
@@ -331,7 +527,7 @@ def _canonical_rows(pts: np.ndarray) -> np.ndarray:
     product adds its terms in that order (an einsum or a column sum does
     not).  Then every row whose first nonzero entry is negative is negated.
     """
-    norms = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+    norms = np.sqrt(_row_dots(pts, pts))
     if not (np.all(norms != 0.0) and np.all(np.isfinite(pts))):
         raise InvalidParameter("direction vector must be nonzero and finite")
     u = pts / norms[:, None]
@@ -571,6 +767,20 @@ class LineFamily:
         theta.setflags(write=False)
         return theta
 
+    @cached_property
+    def translation_radius(self) -> float:
+        """Largest Euclidean norm of a translation (0 for an empty family).
+
+        Reduced COUNT_BLOCK_ROWS rows at a time, as the root of the largest
+        squared norm (`boxcount._squared_norms`).
+        """
+        blocks = range(0, len(self), COUNT_BLOCK_ROWS)
+        return float(np.sqrt(max(
+            (float(_squared_norms(self.translations[start : start + COUNT_BLOCK_ROWS]).max())
+             for start in blocks),
+            default=0.0,
+        )))
+
 
 @dataclass(frozen=True)
 class MeshCellId:
@@ -608,7 +818,14 @@ def mesh_assign(family: LineFamily, delta: float, cover: DirectionCover | None =
     compared with every cover centre, O(n * k), ASSIGN_BLOCK_ROWS directions
     at a time (`DirectionCover.assign`), and the translations are projected
     bucket by bucket.
+
+    A cell coordinate is a translation's coordinate in an orthonormal
+    frame, at most its norm, so a scale at which the family's cached
+    `translation_radius` over 4*delta reaches 2^61 is refused before any
+    work (`require_indexable`): no cell index wraps.
     """
+    if len(family):
+        require_indexable(family.translation_radius, 4.0 * delta, delta)
     if cover is None:
         cover = direction_cover(family.dim, delta)
     n = len(family)

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InconsistentInput
+from .errors import InconsistentInput, InvalidScale
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -40,6 +40,24 @@ def snap_floor(values, width: float, snap: float = SNAP) -> np.ndarray:
     return idx.astype(np.int64)
 
 
+CELL_INDEX_LIMIT = 2.0**61  # largest |coordinate| / side a grid cell index may reach
+
+
+def require_indexable(magnitude: float, side: float, scale: float) -> None:
+    """Raise InvalidScale unless coordinates up to `magnitude` snap below 2^61 cells.
+
+    Below that every cell index and every difference of two fits an int64.
+    A quotient at or above it means the side is finer than the float
+    spacing of the coordinates (2^-52 of their size), where a count would
+    measure rounding, and the int64 cast of `snap_floor` would wrap.
+    """
+    if not magnitude / side < CELL_INDEX_LIMIT:
+        raise InvalidScale(
+            f"scale {scale:.3e} is finer than the float resolution of "
+            f"coordinates as large as {magnitude:.3e}"
+        )
+
+
 def min_pairwise_distance(points) -> float:
     """Exact minimum Euclidean distance over all pairs of rows (inf below 2).
 
@@ -69,19 +87,27 @@ def min_pairwise_distance(points) -> float:
     return best
 
 
+CSV_BLOCK_ROWS = 4096  # array rows formatted per block, so the Python copy stays small
+
+
 def write_csv(path, header, rows) -> None:
     """Write a header line and one comma-separated line per row.
 
     Cells go through str(), the shortest round-trip repr for Python floats;
-    an ndarray is converted with tolist() so no numpy scalar is formatted,
-    a block of rows at a time so the Python copy stays small.
+    an ndarray is converted with tolist() so no numpy scalar is formatted.
+    That is done CSV_BLOCK_ROWS rows at a time and column by column: each
+    column of a block becomes one list of strings, and the lines are the
+    columns zipped and joined, which spends less Python work per cell than
+    formatting row lists.
     """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
-            for start in range(0, len(rows), 4096):
-                block = rows[start : start + 4096].tolist()
-                fh.writelines(",".join(map(str, row)) + "\n" for row in block)
+            for start in range(0, len(rows), CSV_BLOCK_ROWS):
+                block = rows[start : start + CSV_BLOCK_ROWS]
+                cols = [map(str, block[:, c].tolist()) for c in range(block.shape[1])]
+                lines = zip(*cols) if cols else [()] * len(block)
+                fh.write("\n".join(map(",".join, lines)) + "\n")
         else:
             fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 

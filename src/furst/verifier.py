@@ -19,7 +19,16 @@ from .errors import (
     InvalidWitness,
     SoundnessViolation,
 )
-from .grassmann import LineFamily, _gram_schmidt_frame, mesh_assign, mesh_codes, metric_d1
+from .grassmann import (
+    ORTHO_TOL,
+    LineFamily,
+    _canonical_rows,
+    _gram_schmidt_frame,
+    _row_dots,
+    first_close_pair,
+    mesh_assign,
+    mesh_codes,
+)
 from .util import min_pairwise_distance, snap_floor
 
 THINNING_SEPARATION = 4.0  # translations thinned to >= 4*delta apart
@@ -329,19 +338,33 @@ def two_point_extract(
 
 
 def _require_separated_lines(family: LineFamily, delta: float):
+    """Raise InvalidParameter unless every pair of lines is delta-separated.
+
+    The lines are taken as `family.line` gives them: each direction is
+    re-canonicalised (`_canonical_rows`) and each translation must be
+    orthogonal to it within ORTHO_TOL.  Every pair is checked, by
+    `first_close_pair`, which names the lexicographically first close one.
+    """
     K = len(family)
     if K > 2000:
         raise InvalidParameter(
             "two-point extraction checks all line pairs; family too large"
         )
-    lines = [family.line(i) for i in range(K)]
-    for i in range(K):
-        for j in range(i + 1, K):
-            if metric_d1(lines[i], lines[j]) < delta * (1 - 1e-12):
-                raise InvalidParameter(
-                    f"lines {i}, {j} closer than delta; the family must be "
-                    "delta-separated"
-                )
+    dirs = _canonical_rows(family.directions)
+    inner = _row_dots(family.translations, dirs)
+    skew = np.flatnonzero(np.abs(inner) > ORTHO_TOL)
+    if skew.size:
+        raise InvalidParameter(
+            "translation must be orthogonal to the direction "
+            f"(inner product {inner[skew[0]]:.3e})"
+        )
+    close = first_close_pair(dirs, family.translations, delta * (1 - 1e-12))
+    if close is not None:
+        i, j, _ = close
+        raise InvalidParameter(
+            f"lines {i}, {j} closer than delta; the family must be "
+            "delta-separated"
+        )
 
 
 def dimension_thresholds(d: int, s: float, t: float) -> tuple[float, float, float]:

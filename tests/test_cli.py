@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from furst.cli import main
+from furst.util import write_csv
 
 BOX_CONFIG = {
     "d": 2,
@@ -125,6 +126,25 @@ class TestConstruct:
         assert main(["construct-packing", "--config", cfg_path, "--out", str(out)]) == 0
         assert main(["estimate", "--out", str(out)]) == 2
         assert "candidate directions, above the cap" in capsys.readouterr().err
+
+    def test_tiny_packing_scale_estimate_exits_1(self, tmp_path, capsys):
+        # a planar cover at 1e-300 would need about 3e300 buckets
+        cfg = dict(PACKING_CONFIG, s=0.0, t=0.0)
+        cfg["schedule"] = {"etas": [1.0, 1 / 16, 1e-300]}
+        cfg_path = write_config(tmp_path / "tiny.json", cfg)
+        out = tmp_path / "tiny"
+        assert main(["construct-packing", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["estimate", "--out", str(out)]) == 1
+        assert "2^62 or more buckets" in capsys.readouterr().err
+
+    def test_subnormal_packing_scale_exits_1(self, tmp_path, capsys):
+        cfg = dict(PACKING_CONFIG, s=0.0, t=0.0)
+        cfg["schedule"] = {"etas": [1.0, 1 / 16, 1e-300, 1e-320]}
+        cfg_path = write_config(tmp_path / "sub.json", cfg)
+        out = tmp_path / "sub"
+        assert main(["construct-packing", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "normal floats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_required(self, tmp_path):
         cfg = dict(BOX_CONFIG)
@@ -380,3 +400,30 @@ class TestDeterminism:
             for p in sorted(out.iterdir())
         }
         assert digests == README_PACKING_SHA256
+
+
+def old_write_csv(path, header, rows):
+    """The row-at-a-time writer `util.write_csv` replaced."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            for start in range(0, len(rows), 4096):
+                block = rows[start : start + 4096].tolist()
+                fh.writelines(",".join(map(str, row)) + "\n" for row in block)
+        else:
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("cols", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])
+def test_csv_writer_matches_the_row_writer(tmp_path, cols, n):
+    rng = np.random.default_rng(n + cols)
+    rows = rng.normal(size=(n, cols)) * 10.0 ** rng.integers(-20, 20, size=(n, cols))
+    if n:
+        rows.ravel()[::7] = -0.0
+    header = [f"c{i}" for i in range(cols)]
+    ints = rng.integers(-10**12, 10**12, size=(n, cols))
+    for data in (rows, ints, [tuple(r) + ("x",) for r in rows.tolist()]):
+        write_csv(tmp_path / "new.csv", header, data)
+        old_write_csv(tmp_path / "old.csv", header, data)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -1,18 +1,16 @@
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import furst
-from furst import construct_packing
 from furst.construct_packing import (
     OPTION_LINES,
     OPTION_MARKS,
     line_spread_radius,
     mark_spread_radius,
 )
-from furst.errors import DegenerateStep, InvalidParameter, NotInFamily
+from furst.errors import DegenerateStep, InvalidParameter, NotInFamily, SoundnessViolation
 
 DEMO_ETAS = (1.0, 1 / 16, 1 / 256, 1 / 4096)
 # eta_{k+1} < eta_k^2, so both step factors exceed 1 for d=2, s=1/2, t=1
@@ -243,21 +241,29 @@ def parallel_state(n, eta=0.01):
 
 
 class TestSampledSeparation:
-    def test_sampled_check_warns(self):
-        with pytest.warns(UserWarning, match=(
-            r"^line separation sampled: 15010 of 1125750 pairs of 1501 lines checked$"
-        )):
-            parallel_state(1501).check_separations()
+    """Line separation used to be sampled above 1,500 lines; now every pair counts."""
 
     def test_exhaustive_check_does_not_warn(self):
-        # 1,124,250 exact distances take about 13 s, so the line metric is
-        # stubbed; the pairs and the mark checks are the real ones
-        state = parallel_state(1500)
-        with mock.patch.object(construct_packing, "metric_d1", lambda a, b: state.eta):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                state.check_separations()
-        assert len(construct_packing._separation_pairs(1500)) == 1500 * 1499 // 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parallel_state(1501).check_separations()
+
+    def test_pair_outside_the_old_sample_is_found(self):
+        # lines 700 and 1400 are 1e-4 apart; the old check sampled 15,010 of
+        # the 1,125,750 pairs and measured only the consecutive ones for sure
+        state = parallel_state(1501)
+        lines = list(state.lines)
+        lines[1400] = furst.AffineLine([1.0, 0.0], [0.0, 7.0001])
+        marks = list(state.marks)
+        marks[1400] = np.array([[0.0, 7.0001]])
+        moved = furst.MarkedLineState(
+            k=1, eta=state.eta, lines=tuple(lines), marks=tuple(marks),
+            d=2, s=0.5, t=1.0, history=(),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SoundnessViolation, match=r"^lines 700,1400 at distance 1\.000e-04"):
+                moved.check_separations()
 
 
 class TestNeighborhoodCounts:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import furst
-from furst.errors import InvalidParameter, InvalidScale, StaleResolution
+from furst import grassmann
+from furst.errors import (
+    InvalidParameter,
+    InvalidScale,
+    ResourceCap,
+    StaleResolution,
+    UnsupportedScale,
+)
 
 
 def line_at(point, direction):
@@ -238,3 +245,33 @@ class TestMeshCoverCount:
             ]
         )
         assert furst.mesh_cover_count(crowd, delta) <= len(crowd)
+
+
+class TestIndexLimits:
+    def test_planar_cover_caps_refuse_before_building(self):
+        with pytest.raises(ResourceCap, match="above the cap"):
+            furst.direction_cover(2, 2.0**-25)
+        for delta in (1e-19, 1e-300, 5e-324):
+            with pytest.raises(UnsupportedScale, match="2\\^62 or more buckets"):
+                furst.direction_cover(2, delta)
+        # 2^-24 still builds: its 52.7 M buckets are under the cap
+        width = float(np.arcsin(2.0**-24))
+        assert grassmann._planar_bucket_count(width, 2.0**-24) == int(np.ceil(np.pi / width))
+
+    def test_translations_past_int64_cells_are_refused(self):
+        family = furst.LineFamily([[1, 0], [0, 1]], [[0, 1e20], [1e20, 0]], 1e-3)
+        for delta in (1e-3, 0.1, 1.0):
+            with pytest.raises(InvalidScale, match="finer than the float resolution"):
+                furst.mesh_cover_count(family, delta)
+        assert family.translation_radius == 1e20
+
+    def test_translation_radius_matches_its_expression(self):
+        for d, rows in ((2, 0), (2, 1), (3, 16_385), (9, 1000)):
+            rng = np.random.default_rng(rows)
+            dirs = np.tile(np.eye(d)[0], (rows, 1))
+            trans = rng.normal(size=(rows, d))
+            trans[:, 0] = 0.0
+            family = furst.LineFamily(dirs, trans, 1e-3)
+            want = float(np.linalg.norm(trans, axis=1).max()) if rows else 0.0
+            assert family.translation_radius == want
+            assert family.translation_radius is family.translation_radius

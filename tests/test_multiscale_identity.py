@@ -131,11 +131,10 @@ def test_non_nested_schedules_match_per_scale_snapping(deltas):
 
 
 def test_chains_group_exact_powers_of_two():
-    cloud = furst.PointCloud(np.zeros((1, 2)), 1e-300)
     sides = [delta / np.sqrt(2) for delta in [0.3, 0.2, 0.1]]
-    assert boxcount._chains(cloud, sides) == [([2, 1], [0, 1]), ([0], [0])]
+    assert boxcount._chains(sides) == [([2, 1], [0, 1]), ([0], [0])]
     sides = [delta / np.sqrt(2) for delta in [0.5, 0.25, 0.2, 0.125]]
-    assert boxcount._chains(cloud, sides) == [([3, 0, 1], [0, 2, 1]), ([2], [0])]
+    assert boxcount._chains(sides) == [([3, 0, 1], [0, 2, 1]), ([2], [0])]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -160,16 +159,18 @@ def test_long_chain_puts_every_row_in_the_window():
     check_counts(points, deltas)
 
 
-def test_quotients_past_int64_are_counted_scale_by_scale():
-    points = np.array([[1e20, 0.0], [1e20 + 1e5, 1.0]])
-    cloud = furst.PointCloud(points, 1e-3)
-    deltas = [0.4, 0.2, 0.1]
-    with np.errstate(invalid="ignore"):
-        assert boxcount._chains(cloud, [x / np.sqrt(2) for x in deltas]) == [
-            ([2], [0]), ([0], [0]), ([1], [0]),
-        ]
-        expected = [furst.grid_count(cloud, delta) for delta in deltas]
-        assert boxcount._grid_counts(cloud, deltas) == expected
+def test_quotients_past_int64_are_refused_before_counting():
+    # 1e20 over a side of about 0.07 is past 2^61: every cell index would wrap
+    cloud = furst.PointCloud([[1e20, 0.0], [1e20 + 1e5, 1.0]], 1e-3)
+    with mock.patch.object(boxcount, "_count_chain") as count:
+        for delta in (0.4, 0.2, 0.1):
+            with pytest.raises(InvalidScale, match="finer than the float resolution"):
+                furst.grid_count(cloud, delta)
+        with pytest.raises(InvalidScale):
+            furst.estimate_dimension(cloud, [0.4, 0.2, 0.1])
+    count.assert_not_called()
+    # the same cloud is counted where its quotients stay below 2^61
+    assert furst.grid_count(cloud, 1e5) == reference_grid_count(cloud.points, 1e5)
 
 
 @settings(max_examples=300, deadline=None)
