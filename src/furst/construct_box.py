@@ -23,6 +23,10 @@ from .util import min_pairwise_distance
 
 DEFAULT_MAX_POINTS = 20_000_000
 MAX_SHELL = 64
+# most points of the d >= 3 shell lattice make_directions may build: its
+# meshgrid, radii, masks and kept rows peak near 100 bytes a point at
+# d = 4 (222 MB for the 2.2 M points of shell 3), about 400 MB at the cap
+SHELL_LATTICE_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,14 @@ def make_directions(d: int, count: int, density: int = 0) -> DirectionSequence:
     Enumeration is shell by shell, so the first direction is always the
     shell-1 start at distance about 1/4.  Each shell's directions are
     built and canonicalised as one array (`grassmann._canonical_rows`).
+
+    In d >= 3 a shell's directions come from the (2 n_side + 1)^(d-1)
+    points of a square lattice around the annulus.  A shell whose lattice
+    would pass SHELL_LATTICE_CAP points raises ResourceCap (CLI exit 2)
+    before it is built.  In d = 3 that is shell 4 at densities 0 to 3
+    (67 M points at density 0), reached past 9,681 directions at density
+    0, and shell 3 from density 4; in d = 4 shell 4 at density 0 and
+    shell 3 from density 1.
     """
     if count < 1:
         raise InvalidParameter("need at least one direction")
@@ -178,6 +190,13 @@ def make_directions(d: int, count: int, density: int = 0) -> DirectionSequence:
         else:
             # lattice net over the (d-1)-dim annulus, lexicographic order
             n_side = max(1, int(np.floor(2.0 * width / spacing)) + 1)
+            size = (2 * n_side + 1) ** (d - 1)
+            if size > SHELL_LATTICE_CAP:
+                raise ResourceCap(
+                    f"direction shell {j} in R^{d} needs a lattice of {size:,} "
+                    f"points, above the cap of {SHELL_LATTICE_CAP:,}; "
+                    f"{count - remaining} of the {count} directions lie in earlier shells"
+                )
             axes = [np.arange(-n_side, n_side + 1) * spacing] * (d - 1)
             grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
             grid = grid.reshape(-1, d - 1)

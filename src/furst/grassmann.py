@@ -373,24 +373,42 @@ class DirectionCover:
 
         d >= 3: the nearest centre by largest |cos|, i.e. least projection
         distance, where a |cos| is the fixed-order dot product
-        (`_fixed_order_cos`) and ties go to the lowest index.  Rows are
-        compared with all k centres by BLAS, ASSIGN_BLOCK_ROWS at a time:
-        O(n * k * d) time, and one (ASSIGN_BLOCK_ROWS, k) temporary instead
-        of an (n, k) matrix.  BLAS may round an entry differently in the
-        last bits depending on the product's shape and thread count.  But
-        a d-term dot product of unit vectors summed in any order lies
+        (`_fixed_order_cos`) and ties go to the lowest index.  Each distinct
+        row is assigned once (`_nearest_centers`) and its bucket scattered
+        back to its copies: rows are told apart by their bytes, one
+        np.unique over a void view, so -0.0 and 0.0 count as different rows
+        and are assigned separately (to the same bucket).  A product family
+        such as `build_lines`' n lines over m directions costs O(n log n)
+        for the sort plus O(m * k * d) for the k centres; a family of n
+        distinct directions O(n * k * d).
+        """
+        vecs = np.atleast_2d(unit_vectors)
+        if self.angle_width is not None:
+            return self.angle_buckets(np.arctan2(vecs[:, 1], vecs[:, 0]) % np.pi)
+        rows = np.ascontiguousarray(vecs, dtype=float)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # the inverse is (n,) on numpy 1.x and may keep the key's shape on 2.x
+        return self._nearest_centers(rows[first])[inverse.reshape(-1)]
+
+    def _nearest_centers(self, vecs: np.ndarray) -> np.ndarray:
+        """d >= 3 bucket of each row of an (n, d) array (see `assign`).
+
+        Rows are compared with all k centres by BLAS, ASSIGN_BLOCK_ROWS at
+        a time: O(n * k * d) time, and one (ASSIGN_BLOCK_ROWS, k) temporary
+        instead of an (n, k) matrix.  BLAS may round an entry differently
+        in the last bits depending on the product's shape and thread count.
+        But a d-term dot product of unit vectors summed in any order lies
         within about d * 2^-53 of the exact value, so a BLAS |cos| and the
         fixed-order one differ by at most d * 2^-52.  A row whose best BLAS
         |cos| beats every other by more than twice that has the same best
         centre by fixed-order |cos|.  The other rows re-rank by fixed-order
         |cos| the centres whose BLAS |cos| lies within 4 * d * 2^-52 of
         their best (twice the 2 * d * 2^-52 needed), a set that holds the
-        fixed-order winner.  So buckets do not depend on the BLAS, the
-        block shape or the thread count.
+        fixed-order winner.  So a row's bucket depends on the row alone,
+        not on the BLAS, the block shape, the thread count or the other
+        rows.
         """
-        vecs = np.atleast_2d(unit_vectors)
-        if self.angle_width is not None:
-            return self.angle_buckets(np.arctan2(vecs[:, 1], vecs[:, 0]) % np.pi)
         n = vecs.shape[0]
         tol = 4 * self.dim * np.finfo(float).eps  # eps = 2^-52
         buckets = np.empty(n, dtype=np.int64)
@@ -440,7 +458,7 @@ def direction_cover(d: int, delta: float) -> DirectionCover:
     below ~ 0.24) raises ResourceCap before anything is built: a net over
     fewer candidates than that would not be shown to cover at radius delta.
     `_greedy_sphere_net` gives the cost; at (3, 2^-5), 36,864 candidates
-    and 9,252 centres, the build takes about 0.07 s on one core of a
+    and 9,252 centres, the build takes about 0.045 s on one core of a
     2-vCPU VM, and its peak temporaries are the candidates and the net's
     buffer, 16 * count * d bytes (1.8 MB).
     """
@@ -552,8 +570,8 @@ def _greedy_sphere_net(d: int, delta: float) -> np.ndarray:
     the same centres, bit for bit, testing each candidate only against the
     centres near its height (`_banded_net`): about count * (band +
     NET_BLOCK_ROWS) * d, where a band holds O(k * delta) centres.  With
-    one BLAS thread on a 2-vCPU VM that is 0.64 -> 0.07 s at 2^-5 and
-    8.3 -> 0.36 s at 2^-6, against `_conflicts` on every candidate.
+    one BLAS thread on a 2-vCPU VM that is 0.64 -> 0.045 s at 2^-5 and
+    8.3 -> 0.22 s at 2^-6, against `_conflicts` on every candidate.
     """
     count = _net_candidate_count(d, delta)
     cands = _candidate_directions(d, count)
@@ -611,17 +629,31 @@ def _banded_net(cands, heights, limit, net) -> int:
 
     Candidates are taken NET_BLOCK_ROWS at a time.  One product gives each
     candidate's largest |cos| with the centres kept before the block in its
-    two bands, and one more (the block with itself) the |cos| with the
-    centres kept earlier in the block.  Both are computed with other shapes
-    than the plain test, so they may differ from it in the last bits; a
-    value above limit + NET_MARGIN still proves a rejection and one below
-    limit - NET_MARGIN a pass, and only a value in between takes the plain
+    two bands; a candidate whose largest |cos| exceeds limit + NET_MARGIN
+    is rejected.  One more product, of the other (open) candidates with
+    themselves, gives the |cos| of each open pair.  Both are computed with
+    other shapes than the plain test, so they may differ from it in the
+    last bits; a value above limit + NET_MARGIN still proves a rejection
+    and one below limit - NET_MARGIN a pass.  When none of these values
+    lies in between, every decision is clear-cut: the kept candidates are
+    the in-order greedy independent set of the graph joining two open
+    candidates whose |cos| exceeds limit + NET_MARGIN, which
+    `_greedy_in_rounds` finds in array rounds.  A block with a value in
+    between runs `_greedy_in_order`, where such a candidate takes the plain
     test, `_conflicts` against every kept centre.  No build of the tested
-    scales takes it.
+    scales needs it.
+
+    Cost: about count * band * d for the band products, and per block one
+    product of its open candidates (about as many as it keeps) and a few
+    array operations per round, with no Python work per candidate.  At
+    2^-5 (36,864 candidates, 9,252 centres, 288 blocks) half the blocks
+    have no open candidate, nearly all others decide in one round, and
+    the build takes about 0.045 s on one core of a 2-vCPU VM.
     """
     radius = _band_radius(limit)
     high, low = limit + NET_MARGIN, limit - NET_MARGIN
     depths = np.empty(len(cands))  # -z of the kept centres, ascending
+    later = np.triu(np.ones((NET_BLOCK_ROWS, NET_BLOCK_ROWS), dtype=bool), 1)
     kept = 0
     for start in range(0, len(cands), NET_BLOCK_ROWS):
         block = cands[start : start + NET_BLOCK_ROWS]
@@ -640,16 +672,65 @@ def _banded_net(cands, heights, limit, net) -> int:
         for lo, hi in bands:
             if hi > lo:
                 np.maximum(top, np.abs(block @ net[lo:hi].T).max(axis=1), out=top)
-        within = np.abs(block @ block.T)
-        for j in np.flatnonzero(top <= high):
-            t = top[j]
-            if t > high or (t >= low and _conflicts(net, kept, block[j], limit)):
-                continue
-            net[kept] = block[j]
-            depths[kept] = -z[j]
-            kept += 1
-            np.maximum(top, within[j], out=top)
+        open_ = np.flatnonzero(top <= high)
+        if not open_.size:
+            continue  # each candidate is too close to a kept centre
+        rows = block[open_]
+        pairs = np.abs(rows @ rows.T)
+        if (top[open_] >= low).any() or ((pairs >= low) & (pairs <= high)).any():
+            chosen = _greedy_in_order(net, kept, block, top, limit)
+        else:
+            m = open_.size
+            chosen = open_[_greedy_in_rounds((pairs > high) & later[:m, :m])]
+        net[kept : kept + chosen.size] = block[chosen]
+        depths[kept : kept + chosen.size] = -z[chosen]
+        kept += chosen.size
     return kept
+
+
+def _greedy_in_rounds(conflict: np.ndarray) -> np.ndarray:
+    """Indices of the in-order greedy independent set of a conflict graph.
+
+    conflict is strictly upper triangular: conflict[i, j], i < j, says that
+    j may not join once i has.  Each round first rejects every undecided
+    vertex with a kept earlier neighbour, then keeps every undecided vertex
+    with no undecided earlier neighbour: all its earlier neighbours are
+    rejected, so the in-order loop keeps it too.  The first undecided
+    vertex is kept in every round, so the rounds end.
+    """
+    if not conflict.any():
+        return np.arange(conflict.shape[0])
+    undecided = np.ones(conflict.shape[0], dtype=bool)
+    kept = np.zeros_like(undecided)
+    while undecided.any():
+        undecided &= ~conflict[kept].any(axis=0)
+        free = undecided & ~conflict[undecided].any(axis=0)
+        kept |= free
+        undecided &= ~free
+    return np.flatnonzero(kept)
+
+
+def _greedy_in_order(net, kept, block, top, limit) -> np.ndarray:
+    """Block indices `_banded_net` keeps, deciding one candidate at a time.
+
+    top is each candidate's largest |cos| with the centres kept before the
+    block; it is raised by the block's |cos| with each candidate chosen.  A
+    |cos| within NET_MARGIN of limit takes the plain test against the kept
+    centres net[:kept] and those chosen earlier in the block, which are
+    written into net as they are chosen.
+    """
+    high, low = limit + NET_MARGIN, limit - NET_MARGIN
+    top = top.copy()
+    within = np.abs(block @ block.T)
+    chosen = []
+    for j in np.flatnonzero(top <= high):
+        t = top[j]
+        if t > high or (t >= low and _conflicts(net, kept + len(chosen), block[j], limit)):
+            continue
+        net[kept + len(chosen)] = block[j]
+        chosen.append(j)
+        np.maximum(top, within[j], out=top)
+    return np.array(chosen, dtype=np.int64)
 
 
 def _largest_separated_cos(sep: float) -> float:
@@ -814,10 +895,11 @@ def mesh_assign(family: LineFamily, delta: float, cover: DirectionCover | None =
     Cost per scale for d=2: each line's angle is computed once per family
     (`LineFamily.angles`) and each bucket centre's sine and cosine once per
     cover, so a scale costs one division, two table reads and one snap per
-    line, COUNT_BLOCK_ROWS lines at a time.  For d>=3 every direction is
-    compared with every cover centre, O(n * k), ASSIGN_BLOCK_ROWS directions
-    at a time (`DirectionCover.assign`), and the translations are projected
-    bucket by bucket.
+    line, COUNT_BLOCK_ROWS lines at a time.  For d>=3 every distinct
+    direction is compared with every cover centre (`DirectionCover.assign`):
+    O(m * k) for m distinct directions and k centres, plus an O(n log n)
+    sort.  One more stable sort groups the lines by bucket, and each
+    bucket's translations are projected onto its frame in family order.
 
     A cell coordinate is a translation's coordinate in an orthonormal
     frame, at most its norm, so a scale at which the family's cached
@@ -845,10 +927,13 @@ def mesh_assign(family: LineFamily, delta: float, cover: DirectionCover | None =
             cells[rows, 0] = snap_floor(coord, width)
     elif n:
         buckets = cover.assign(family.directions)
-        for b in np.unique(buckets):
-            sel = buckets == b
-            coords = family.translations[sel] @ cover.frame(int(b)).T
-            cells[sel] = snap_floor(coords, width)
+        # a stable sort lists each bucket's lines in family order, the rows
+        # a mask of the bucket would select
+        order = np.argsort(buckets, kind="stable")
+        ends = np.flatnonzero(np.diff(buckets[order])) + 1
+        for sel in np.split(order, ends):
+            frame = cover.frame(int(buckets[sel[0]]))
+            cells[sel] = snap_floor(family.translations[sel] @ frame.T, width)
     else:
         buckets = np.empty(0, np.int64)
     return buckets, cells, cover

@@ -10,10 +10,11 @@ every point, a million rows at a time; `pigeonhole_extract` groups lines
 by bucket with one stable sort and picks each bucket's candidates with
 np.unique over its cell rows.  The package computes the same results with
 an angle cache, array-wide canonical rows, a largest-|cos| test, a net
-banded by height, blocked BLAS assignment with a near-tie re-rank, one
-pass over packed (bucket, cell) codes and a prefiltered scan;
-test_occupancy.py, test_pigeonhole_identity.py and test_cover_identity.py
-compare the two.  No `assert` here, so the references behave the same
+banded by height and decided in rounds, blocked BLAS assignment of each
+distinct direction with a near-tie re-rank, one pass over packed
+(bucket, cell) codes and a prefiltered scan;
+test_occupancy.py, test_pigeonhole_identity.py, test_cover_identity.py
+and test_assign_identity.py compare the two.  No `assert` here, so the references behave the same
 under python -O.
 """
 

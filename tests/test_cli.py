@@ -116,6 +116,12 @@ class TestConstruct:
         code, _ = construct_box(tmp_path, name="big", max_points=10)
         assert code == 2
 
+    def test_capped_shell_lattice_exits_2(self, tmp_path, capsys):
+        # 9,682 directions in d = 3 reach shell 4, whose lattice passes the cap
+        code, _ = construct_box(tmp_path, name="shell4", d=3, M=1, N=9682, depth=1)
+        assert code == 2
+        assert "lattice of 67,158,025 points" in capsys.readouterr().err
+
     def test_capped_direction_cover_exits_2(self, tmp_path, capsys):
         # estimate counts the last step's lines at eta = 2^-10, where a
         # d = 3 direction cover needs more candidates than the cap allows

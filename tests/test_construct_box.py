@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import furst
+from furst import construct_box
 from furst.errors import InvalidParameter, InvalidScale, ResourceCap
 from furst.util import min_pairwise_distance
 
@@ -49,6 +52,26 @@ class TestDirections:
         assert np.allclose(norms, 1.0, atol=1e-12)
         for v in seq.vectors:
             assert 0 < furst.projection_distance(v, base) <= 2.0**-1 + 1e-12
+
+    def test_shell_lattice_past_the_cap_is_refused_before_it_is_built(self):
+        # shells 1-3 of d = 3 at density 0 hold 9,681 directions; shell 4
+        # needs a lattice of 8,195^2 = 67 M points
+        with mock.patch.object(np, "meshgrid", wraps=np.meshgrid) as grid:
+            assert len(furst.make_directions(3, 9681).vectors) == 9681
+            assert grid.call_count == 3
+            with pytest.raises(ResourceCap, match="shell 4 in R\\^3 .* 67,158,025 points"):
+                furst.make_directions(3, 9682)
+            assert grid.call_count == 6
+        assert construct_box.SHELL_LATTICE_CAP < 8195**2
+
+    @pytest.mark.parametrize("d, count, density, shell", [
+        (3, 1, 10, 1), (3, 10**6, 4, 3), (4, 2000, 1, 3), (5, 1200, 0, 3),
+    ])
+    def test_dense_shells_are_refused_by_lattice_size(self, d, count, density, shell):
+        with mock.patch.object(np, "meshgrid", wraps=np.meshgrid) as grid:
+            with pytest.raises(ResourceCap, match=f"shell {shell} in R\\^{d}"):
+                furst.make_directions(d, count, density)
+        assert grid.call_count == shell - 1
 
 
 class TestTranslations:

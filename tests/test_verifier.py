@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import furst
+import furst.util
 from furst.errors import (
     InconsistentInput,
     InvalidParameter,
@@ -190,6 +193,62 @@ class TestTwoPoint:
         y = np.array([[1.0, 0.0], [1.0, 1e-4]])
         with pytest.raises(InvalidParameter):
             furst.two_point_extract(fam, x, y, 0.1, 1.0, 1)
+
+    @pytest.mark.parametrize("d, s, t, etas, mode, lines, x_cells, kept", [
+        # the d3 benchmark's packing state and the growing d = 2 one
+        (3, 0.5, 2.0, (1.0, 1 / 16, 2.0**-10), "demo", 54, 36, 10),
+        (2, 0.5, 1.0, (1.0, 1 / 16, 2.0**-10, 2.0**-24), "strict", 240, 85, 87),
+    ])
+    def test_measured_packing_states_give_bound_one(
+        self, d, s, t, etas, mode, lines, x_cells, kept
+    ):
+        # each line's first and last marks lie 2 * 2^-10 apart (n = 513),
+        # and the y points of the fullest x cell thin to one witness: the
+        # bound is 1, the floor two_point_extract promises
+        final = furst.run_alternating(d, s, t, furst.ScaleSchedule(etas, mode))[-1]
+        xs = np.array([m[0] for m in final.marks])
+        ys = np.array([m[-1] for m in final.marks])
+        n = int(np.ceil(1.0 / float(np.linalg.norm(xs - ys, axis=1).min())))
+        cert = furst.two_point_extract(final.line_family(), xs, ys, final.eta, t, n)
+        assert (final.num_lines, n) == (lines, 513)
+        assert cert.branch == "dichotomy-y"
+        assert cert.bound == 1
+        assert cert.line_indices == (kept,)
+        assert cert.meta["x_cells"] == x_cells
+
+    @staticmethod
+    def stacked_fixture(x):
+        # horizontal lines 1 apart, with x points as given and y points far
+        # from them and from each other, so thinning keeps every y point
+        K = len(x)
+        fam = furst.LineFamily.from_lines(
+            [furst.standard_form([0.0, float(i)], [1, 0]) for i in range(K)], 1e-9
+        )
+        y = np.column_stack([np.full(K, 10.0), np.arange(K, dtype=float)])
+        return fam, np.asarray(x, dtype=float), y
+
+    def test_fullest_cell_ties_go_to_the_lowest_cell(self):
+        # cells (0, 0) and (-1, -1) hold two x points each: the lower one wins
+        x = [[0.01, 0.01], [-0.01, -0.01], [0.02, 0.02], [-0.02, -0.03], [0.5, 0.5]]
+        fam, x, y = self.stacked_fixture(x)
+        cert = furst.two_point_extract(fam, x, y, 0.1, 1.0, 1)
+        assert cert.branch == "dichotomy-y"
+        assert cert.line_indices == (1, 3)
+        assert cert.meta["x_cells"] == 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=14))
+    def test_fullest_cell_matches_counting_each_tuple(self, cells):
+        delta = 0.01
+        side = delta / np.sqrt(2.0)
+        fam, x, y = self.stacked_fixture((np.array(cells) + 0.5) * side)
+        keys = [tuple(row) for row in furst.util.snap_floor(x, side)]
+        occupied = sorted(set(keys))
+        best = min(occupied, key=lambda c: (-keys.count(c), c))
+        cert = furst.two_point_extract(fam, x, y, delta, 2.0, 1)
+        assert cert.branch == "dichotomy-y"
+        assert cert.line_indices == tuple(i for i, c in enumerate(keys) if c == best)
+        assert cert.meta["x_cells"] == len(occupied)
 
 
 class TestThresholds:
