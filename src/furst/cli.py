@@ -16,10 +16,12 @@ import numpy as np
 
 from .boxcount import (
     PointCloud,
+    check_scale,
     dyadic_schedule,
     estimate_dimension,
     fit_slope,
     grid_count,
+    grid_counts,
     write_cover,
 )
 from .construct_box import BoxSharpSpec, build_lines, build_points, calibrate_cover, predicted_cover
@@ -279,9 +281,11 @@ def cmd_verify(out: Path, scales) -> int:
             raise InvalidParameter("no usable scales at or below 0.5")
         if len(family) == 0:
             sched = []
-        for s in sched:
-            cert = pigeonhole_extract(family, cloud, s)
-            measured = grid_count(cloud, s)
+        certs = []
+        for s in sched:  # each scale's errors in grid_count's order
+            certs.append(pigeonhole_extract(family, cloud, s))
+            check_scale(cloud, s)
+        for s, cert, measured in zip(sched, certs, grid_counts(cloud, sched)):
             ok = (
                 cert.bound <= 3**cloud.dim * measured
                 and cert.min_witness_separation() >= s

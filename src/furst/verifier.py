@@ -83,6 +83,22 @@ def _line_distances(points: np.ndarray, v: np.ndarray, a: np.ndarray) -> np.ndar
     return np.linalg.norm(perp, axis=1)
 
 
+def _near_rows(block: np.ndarray, frame: np.ndarray, offset: np.ndarray,
+               limit: float) -> np.ndarray:
+    """Indices of the rows p of `block` with every |p F^T - offset| <= limit.
+
+    After one product with the frame F, column by column with scalar
+    operands: numpy's row-wise max and a broadcast offset take its slow
+    short-row loops (at d = 3, 1.1 ms against 0.19 ms a 16,384-row block).
+    """
+    proj = block @ frame.T
+    worst = np.abs(proj[:, 0] - offset[0])
+    for c in range(1, proj.shape[1]):
+        col = proj[:, c] - offset[c]
+        np.maximum(worst, np.abs(col, out=col), out=worst)
+    return np.flatnonzero(worst <= limit)
+
+
 def _witness_on_line(family, idx, cloud, tol) -> np.ndarray:
     """First cloud point (lowest index) within `tol` of line `idx`.
 
@@ -98,8 +114,9 @@ def _witness_on_line(family, idx, cloud, tol) -> np.ndarray:
     drops no row the exact test would accept.  The exact test then runs on
     the kept rows only, so the returned row is the one a full scan returns.
 
-    Cost: one product and one comparison per scanned point, plus the exact
-    test on the few rows near the line; the scan stops at the first hit.
+    Cost: about 3d passes per scanned block (`_near_rows`; 40 ms for all
+    12.3 M points of box-large) plus the exact test on the few rows near
+    the line; the scan stops at the first hit.
     When the whole cloud misses the line, the exact distances are computed
     once more to report the nearest one, and InconsistentInput is raised.
     """
@@ -111,10 +128,7 @@ def _witness_on_line(family, idx, cloud, tol) -> np.ndarray:
     limit = tol + WITNESS_SLACK_EPS * v.size**2 * np.finfo(float).eps * scale
     for start in range(0, len(cloud), COUNT_BLOCK_ROWS):
         block = cloud.points[start : start + COUNT_BLOCK_ROWS]
-        proj = block @ frame.T
-        proj -= offset
-        np.abs(proj, out=proj)
-        near = np.flatnonzero(proj.max(axis=1) <= limit)
+        near = _near_rows(block, frame, offset, limit)
         if near.size:
             hits = np.flatnonzero(_line_distances(block[near], v, a) <= tol)
             if hits.size:

@@ -13,9 +13,11 @@ an angle cache, array-wide canonical rows, a largest-|cos| test, a net
 banded by height and decided in rounds, blocked BLAS assignment of each
 distinct direction with a near-tie re-rank, one pass over packed
 (bucket, cell) codes and a prefiltered scan;
-test_occupancy.py, test_pigeonhole_identity.py, test_cover_identity.py
-and test_assign_identity.py compare the two.  No `assert` here, so the references behave the same
-under python -O.
+test_occupancy.py, test_pigeonhole_identity.py, test_cover_identity.py,
+test_assign_identity.py and test_snap_pack_identity.py compare the two.
+`snap_floor` is the package's snapping rule as it was computed before it
+snapped in place, so no reference here runs the code under test.  No
+`assert` here, so the references behave the same under python -O.
 """
 
 import math
@@ -25,13 +27,21 @@ import numpy as np
 from furst.errors import InconsistentInput, InvalidParameter, InvalidScale
 from furst.grassmann import _gram_schmidt_frame, canonical_vector, direction_cover
 from furst.util import derive_seed
-from furst.util import snap_floor
 from furst.verifier import (
     THINNING_SEPARATION,
     ExtractionCertificate,
     _check_witnesses,
     _greedy_thin,
 )
+
+
+def snap_floor(values, width, snap=1e-9):
+    """floor(values / width) with quotients within `snap` below an integer
+    rounded up: the package's rule, computed with a whole-array bool add."""
+    q = np.asarray(values, dtype=float) / width
+    idx = np.floor(q)
+    idx += (q - idx) > (1.0 - snap)
+    return idx.astype(np.int64)
 
 
 def candidate_directions(d, count):

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 import furst
 from furst import grassmann
-from furst.util import snap_floor
 
 import line_reference
 
@@ -125,7 +124,7 @@ def masked_cells(family, buckets, cover, delta):
     for b in np.unique(buckets):
         sel = buckets == b
         coords = family.translations[sel] @ cover.frame(int(b)).T
-        cells[sel] = snap_floor(coords, 4.0 * delta)
+        cells[sel] = line_reference.snap_floor(coords, 4.0 * delta)
     return cells
 
 

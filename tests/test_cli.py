@@ -274,16 +274,16 @@ class TestEstimateVerifyReport:
         certs = json.loads((out / "certificates.json").read_text())
         assert all(c["sound"] for c in certs["certificates"])
 
-    def write_box_outputs(self, out, lines):
+    def write_box_outputs(self, out, lines, points="x1,x2\n0.3,0.0\n", floor=1e-9):
         out.mkdir()
-        (out / "points.csv").write_text("x1,x2\n0.3,0.0\n")
+        (out / "points.csv").write_text(points)
         (out / "lines.csv").write_text("dir1,dir2,trans1,trans2\n" + lines)
         (out / "manifest.json").write_text(
             json.dumps(
                 {
                     "kind": "box",
                     "spec": BOX_CONFIG,
-                    "floors": {"points": 1e-9, "lines": 1e-9},
+                    "floors": {"points": floor, "lines": 1e-9},
                     "thresholds": {"box": 0, "packing": 0, "hausdorff": 0},
                 }
             )
@@ -296,6 +296,41 @@ class TestEstimateVerifyReport:
         code = main(["verify", "--out", str(out), "--scales", "0.01,0.005"])
         assert code == 1
         assert "no cloud point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scales, sha256", [
+        (None, "30592db2a4edafeb2c19d6ac8e4ec89db4288f95e66f8b4d690ee6fa580a1cbe"),
+        ("0.0625,0.000244140625",
+         "925aca3307244ea1d74846eb1f4d0d2a297075a2d7ba990a264f297f5ff0e811"),
+    ])
+    def test_verify_certificates_are_byte_stable(self, tmp_path, scales, sha256):
+        # the bytes verify wrote when it counted each scale with grid_count
+        _, out = construct_box(tmp_path)
+        argv = ["verify", "--out", str(out)] + (["--scales", scales] if scales else [])
+        assert main(argv) == 0
+        assert hashlib.sha256((out / "certificates.json").read_bytes()).hexdigest() == sha256
+
+    def test_verify_stale_scale_after_a_valid_one(self, tmp_path, capsys):
+        # at floor 0.02, 2^-4 and 2^-5 pass and 2^-6 is stale; the line at
+        # 0.05, with no point within 0.02, would be kept from 2^-7 on, whose
+        # extraction is never reached
+        out = tmp_path / "stale"
+        self.write_box_outputs(out, "1.0,0.0,0.0,0.0\n1.0,0.0,0.0,0.05\n", floor=0.02)
+        code = main(["verify", "--out", str(out), "--scales", "0.1,0.005"])
+        assert code == 1
+        assert "scale 1.562e-02 is below the cloud's resolution floor" in capsys.readouterr().err
+        assert not (out / "certificates.json").exists()
+
+    @pytest.mark.parametrize("floor", [1e-9, 0.01])
+    def test_verify_tangent_margin_failure(self, tmp_path, capsys, floor):
+        # a cloud of radius 3 fails the tangent margin at the first scale,
+        # before the scales below a floor of 0.01 are reached
+        out = tmp_path / "wide"
+        self.write_box_outputs(out, "1.0,0.0,0.0,0.0\n", points="x1,x2\n3.0,0.0\n",
+                               floor=floor)
+        code = main(["verify", "--out", str(out), "--scales", "0.25,0.005"])
+        assert code == 1
+        assert "tangent bound fails for delta=0.25" in capsys.readouterr().err
+        assert not (out / "certificates.json").exists()
 
     def test_verify_nonfinite_line_exits_1(self, tmp_path, capsys):
         out = tmp_path / "adv"

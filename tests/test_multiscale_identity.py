@@ -66,7 +66,7 @@ def chain_clouds(draw, reach=3, rows=st.integers(1, 40), dims=(2, 3, 4)):
 
 
 def chain_counts(points, deltas):
-    return boxcount._grid_counts(furst.PointCloud(points, 1e-300), deltas)
+    return furst.grid_counts(furst.PointCloud(points, 1e-300), deltas)
 
 
 def check_counts(points, deltas):

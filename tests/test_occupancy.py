@@ -37,7 +37,8 @@ def reference_cell_codes(idx):
 
 def reference_grid_count(points, delta):
     side = delta / np.sqrt(points.shape[1])
-    return int(np.unique(reference_cell_codes(snap_floor(points, side))).size)
+    idx = line_reference.snap_floor(points, side)
+    return int(np.unique(reference_cell_codes(idx)).size)
 
 
 def reference_mesh_count(family, delta):
@@ -55,7 +56,7 @@ def reference_mesh_count(family, delta):
 
 def grid_span(points, delta):
     """Cells in the bounding box of the snapped cloud: the table's size."""
-    idx = snap_floor(points, delta / np.sqrt(points.shape[1]))
+    idx = line_reference.snap_floor(points, delta / np.sqrt(points.shape[1]))
     return int(np.prod(idx.max(axis=0) - idx.min(axis=0) + 1))
 
 
