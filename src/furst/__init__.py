@@ -52,10 +52,8 @@ from .grassmann import (
     Direction,
     DirectionCover,
     LineFamily,
-    MeshCellId,
     direction_cover,
     line_distances,
-    mesh_cells,
     mesh_cover_count,
     metric_d1,
     projection_distance,
@@ -83,7 +81,6 @@ __all__ = [
     "ExtractionCertificate",
     "LineFamily",
     "MarkedLineState",
-    "MeshCellId",
     "NeighborhoodCounts",
     "PointCloud",
     "ScaleSchedule",
@@ -108,7 +105,6 @@ __all__ = [
     "line_distances",
     "make_directions",
     "make_translations",
-    "mesh_cells",
     "mesh_cover_count",
     "metric_d1",
     "neighborhood_counts",

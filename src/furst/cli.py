@@ -26,14 +26,18 @@ from .boxcount import (
 )
 from .construct_box import BoxSharpSpec, build_lines, build_points, calibrate_cover, predicted_cover
 from .construct_packing import (
+    DEFAULT_MAX_LINES,
+    DEFAULT_MAX_MARKS,
     OPTION_LINES,
     ScaleSchedule,
     predicted_step_factors,
+    read_states,
     run_alternating,
+    write_states,
 )
 from .errors import FurstError, InconsistentInput, InvalidParameter, ResourceCap, SoundnessViolation
 from .grassmann import LineFamily, mesh_cover_count
-from .util import read_csv, write_csv, write_json
+from .util import read_csv, read_json, write_csv, write_json
 from .verifier import dimension_thresholds, pigeonhole_extract, two_point_extract
 
 EXIT_OK = 0
@@ -46,11 +50,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; route through EXIT_USER instead
     def error(self, message):
         raise InvalidParameter(message)
-
-
-def _read_json(path: Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def cmd_construct_box(config: dict, out: Path) -> int:
@@ -99,8 +98,8 @@ def cmd_construct_packing(config: dict, out: Path) -> int:
         float(config["t"]),
         schedule,
         first_option=first,
-        max_lines=int(caps.get("max_lines", 200_000)),
-        max_marks=int(caps.get("max_marks", 500_000)),
+        max_lines=int(caps.get("max_lines", DEFAULT_MAX_LINES)),
+        max_marks=int(caps.get("max_marks", DEFAULT_MAX_MARKS)),
     )
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -121,7 +120,7 @@ def cmd_construct_packing(config: dict, out: Path) -> int:
         ("k", "eta", "option", "num_lines", "num_marks", "pred_lines", "pred_marks"),
         rows,
     )
-    _write_states(out / "states.json", config, schedule, states)
+    write_states(out / "states.json", schedule, states)
     write_json(
         out / "manifest.json",
         {
@@ -134,53 +133,6 @@ def cmd_construct_packing(config: dict, out: Path) -> int:
         },
     )
     return EXIT_OK
-
-
-def _write_states(path: Path, config: dict, schedule: ScaleSchedule, states):
-    write_json(
-        path,
-        {
-            "d": int(config["d"]),
-            "s": float(config["s"]),
-            "t": float(config["t"]),
-            "schedule": schedule.to_config(),
-            "states": [
-                {
-                    "k": st.k,
-                    "eta": st.eta,
-                    "lines": [
-                        {
-                            "direction": ln.direction.vector.tolist(),
-                            "translation": ln.translation.tolist(),
-                        }
-                        for ln in st.lines
-                    ],
-                    "marks": [m.tolist() for m in st.marks],
-                    "option": st.history[-1] if st.history else None,
-                }
-                for st in states
-            ],
-        },
-    )
-
-
-def _read_states(path: Path):
-    """(s, t, [(k, eta, family, marks), ...]) from a states.json.
-
-    Each family is built straight from the stored arrays with floor eta/4,
-    and `marks` holds one (n_i, d) array per line.
-    """
-    payload = _read_json(path)
-    states = []
-    for st in payload["states"]:
-        eta = st["eta"]
-        family = LineFamily(
-            [ln["direction"] for ln in st["lines"]],
-            [ln["translation"] for ln in st["lines"]],
-            eta / 4.0,
-        )
-        states.append((st["k"], eta, family, [np.array(m) for m in st["marks"]]))
-    return payload["s"], payload["t"], states
 
 
 def _load_box_artifacts(out: Path, manifest: dict):
@@ -201,7 +153,7 @@ def _default_scales(floor: float, requested) -> list[float]:
 
 
 def cmd_estimate(out: Path, scales) -> int:
-    manifest = _read_json(out / "manifest.json")
+    manifest = read_json(out / "manifest.json")
     if manifest.get("kind") == "box":
         cloud, family = _load_box_artifacts(out, manifest)
         spec = BoxSharpSpec.from_config(manifest["spec"])
@@ -243,13 +195,13 @@ def cmd_estimate(out: Path, scales) -> int:
         )
         return EXIT_OK
     if manifest.get("kind") == "packing":
-        s, t, states = _read_states(out / "states.json")
+        states = read_states(out / "states.json")
         rows = []
-        for k, eta, family, marks in states[1:]:
-            mcount = grid_count(PointCloud(np.concatenate(marks), eta / 4.0), eta)
-            lcount = mesh_cover_count(family, eta)
-            log_inv = np.log(1.0 / eta)
-            rows.append((k, eta, mcount, lcount, float(np.log(mcount) / log_inv),
+        for st in states[1:]:
+            mcount = grid_count(st.mark_cloud(), st.eta)
+            lcount = mesh_cover_count(st.line_family(), st.eta)
+            log_inv = np.log(1.0 / st.eta)
+            rows.append((st.k, st.eta, mcount, lcount, float(np.log(mcount) / log_inv),
                          float(np.log(lcount) / log_inv)))
         write_csv(
             out / "packing_exponents.csv",
@@ -259,7 +211,7 @@ def cmd_estimate(out: Path, scales) -> int:
         write_json(
             out / "packing_exponents.json",
             {
-                "mark_exponent_cap": max(s, t / 2.0),
+                "mark_exponent_cap": max(states[0].s, states[0].t / 2.0),
                 "max_mark_exponent": max(r[4] for r in rows) if rows else 0.0,
             },
         )
@@ -268,7 +220,7 @@ def cmd_estimate(out: Path, scales) -> int:
 
 
 def cmd_verify(out: Path, scales) -> int:
-    manifest = _read_json(out / "manifest.json")
+    manifest = read_json(out / "manifest.json")
     checked = []  # (certificate, measured count, sound)
     if manifest.get("kind") == "box":
         cloud, family = _load_box_artifacts(out, manifest)
@@ -292,16 +244,15 @@ def cmd_verify(out: Path, scales) -> int:
             )
             checked.append((cert, measured, ok))
     elif manifest.get("kind") == "packing":
-        _, t, states = _read_states(out / "states.json")
-        _, eta, fam, marks = states[-1]
-        if all(m.shape[0] >= 2 for m in marks):
-            xs = np.array([m[0] for m in marks])
-            ys = np.array([m[-1] for m in marks])
+        final = read_states(out / "states.json")[-1]
+        if final.counts.min() >= 2:
+            xs = np.array([m[0] for m in final.marks])
+            ys = np.array([m[-1] for m in final.marks])
             gap = float(np.linalg.norm(xs - ys, axis=1).min())
             n = int(np.ceil(1.0 / gap))
-            cert = two_point_extract(fam, xs, ys, eta, t, n)
-            measured = grid_count(PointCloud(np.concatenate(marks), eta / 4.0), eta)
-            checked.append((cert, measured, cert.bound <= 3**fam.dim * measured))
+            cert = two_point_extract(final.line_family(), xs, ys, final.eta, final.t, n)
+            measured = grid_count(final.mark_cloud(), final.eta)
+            checked.append((cert, measured, cert.bound <= 3**final.d * measured))
     else:
         raise InvalidParameter(f"unknown artifact kind in {out}")
     certificates = [
@@ -363,7 +314,7 @@ def cmd_report(out: Path) -> int:
         if not csv.exists() or not sidecar.exists():
             continue
         data = read_csv(csv)
-        meta = _read_json(sidecar)
+        meta = read_json(sidecar)
         xs, ys = data[:, 2], data[:, 3]
         slope = meta["slope"]
         intercept = float(ys.mean() - slope * xs.mean())
@@ -408,7 +359,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         out = Path(args.out)
         if args.command in ("construct-box", "construct-packing"):
-            config = _read_json(Path(args.config))
+            config = read_json(Path(args.config))
             if args.seed is not None:
                 config["seed"] = args.seed
             if "seed" not in config:

@@ -6,25 +6,39 @@ lines, transporting each mark across) and spreading marks (replace each
 mark by a separated run of collinear marks).  Counts per step follow
 known power laws in the two consecutive scales, which is what the tests
 check.
+
+A `MarkedLineState` is held as arrays: its lines are one `LineFamily`
+(floor eta/4), its marks one read-only (N, d) array `points` holding line
+0's `counts[0]` marks, then line 1's, and so on, and `marks` gives each
+line's marks as a view into it.  Line nets are built as arrays, with no
+object per line.  `write_states` and `read_states` are the one
+codec of states.json: d, s, t, the schedule and, per state, k, eta, the
+option that made it (null for state 0), each line's direction and
+translation and one marks list per line, every float as its repr, so a
+read gives back the written bits.  The reader checks its input: every
+state must hold at least one line and one marks list per line, and the
+directions, translations and each marks list must be non-empty, finite
+(n, d) arrays of numbers, or it raises InconsistentInput.
 """
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxcount import PointCloud, grid_count
 from .errors import (
     DegenerateStep,
+    InconsistentInput,
     InvalidParameter,
     NotInFamily,
     ResourceCap,
     SoundnessViolation,
 )
 from .grassmann import (
+    ORTHO_TOL,
     AffineLine,
-    Direction,
     LineFamily,
     _canonical_rows,
     _gram_schmidt_frame,
@@ -33,6 +47,7 @@ from .grassmann import (
     line_distances,
     mesh_cover_count,
 )
+from .util import read_json, write_json
 
 SEPARATION_TOL = 1e-12
 # absorbs the 5-eta neighborhood dilation and grid bracketing in the
@@ -100,40 +115,58 @@ class ScaleSchedule:
 
 @dataclass(frozen=True, eq=False)
 class MarkedLineState:
-    """One step of the construction: separated lines with separated marks."""
+    """One step of the construction: separated lines with separated marks.
+
+    Held as arrays; the module docstring gives the layout.
+    """
 
     k: int
     eta: float
-    lines: tuple  # AffineLine per line
-    marks: tuple  # (n_i, d) array per line
-    d: int
+    family: LineFamily
+    points: np.ndarray  # (N, d) every mark, grouped by line in line order
+    counts: np.ndarray  # (n,) int64 marks on each line
     s: float
     t: float
     history: tuple  # applied options, OPTION_LINES / OPTION_MARKS
+    marks: tuple = field(init=False, repr=False)  # (counts[i], d) views, per line
+
+    def __post_init__(self):
+        self.points.setflags(write=False)
+        self.counts.setflags(write=False)
+        ends = np.cumsum(self.counts).tolist()
+        views = tuple(self.points[a:b] for a, b in zip([0, *ends], ends))
+        object.__setattr__(self, "marks", views)
+
+    @classmethod
+    def from_arrays(cls, k, eta, directions, translations, marks, s, t,
+                    history=()) -> "MarkedLineState":
+        """A state from (n, d) line arrays and one (n_i, d) marks array per line."""
+        family = LineFamily(directions, translations, eta / 4.0)
+        counts = np.array([len(m) for m in marks], dtype=np.int64)
+        return cls(k, eta, family, np.concatenate(marks), counts, s, t, history)
+
+    @property
+    def d(self) -> int:
+        return self.family.dim
 
     @property
     def num_lines(self) -> int:
-        return len(self.lines)
+        return len(self.family)
 
     @property
     def num_marks(self) -> int:
-        return sum(m.shape[0] for m in self.marks)
+        return len(self.points)
 
     def all_marks(self) -> np.ndarray:
-        return np.concatenate(self.marks) if self.marks else np.empty((0, self.d))
+        return self.points
 
     def mark_cloud(self, floor=None) -> PointCloud:
-        return PointCloud(self.all_marks(), floor or self.eta / 4.0)
+        return PointCloud._owning(self.points, floor or self.eta / 4.0)
 
     def line_family(self, floor=None) -> LineFamily:
-        return LineFamily.from_lines(self.lines, floor or self.eta / 4.0)
-
-    def line_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, d) arrays of the lines' directions and translations."""
-        if not self.lines:
-            return np.empty((0, self.d)), np.empty((0, self.d))
-        return (np.array([ln.direction.vector for ln in self.lines]),
-                np.array([ln.translation for ln in self.lines]))
+        if not floor or floor == self.family.resolution_floor:
+            return self.family
+        return LineFamily._owning(self.family.directions, self.family.translations, floor)
 
     def check_separations(self, tol: float = SEPARATION_TOL) -> None:
         """Exhaustive separation checks, to rounding (tolerance `tol` relative).
@@ -144,24 +177,26 @@ class MarkedLineState:
         `grassmann.first_close_pair` measures the pairs whose translations
         lie in neighbouring cells of side about eta, the only pairs that
         can be closer than eta, and reports the lexicographically first
-        pair below it.
+        pair below it.  Marks are checked line by line, as marks_i @ v_i
+        rounds differently from any stacked form.
         """
         floor = self.eta * (1.0 - tol)
-        close = first_close_pair(*self.line_arrays(), floor)
+        dirs, trans = self.family.directions, self.family.translations
+        close = first_close_pair(dirs, trans, floor)
         if close is not None:
             i, j, dist = close
             raise SoundnessViolation(
                 f"lines {i},{j} at distance {dist:.3e} < eta {self.eta:.3e}"
             )
-        for i, (line, marks) in enumerate(zip(self.lines, self.marks)):
+        for i, (v, a, marks) in enumerate(zip(dirs, trans, self.marks)):
             if marks.shape[0] < 1:
                 raise SoundnessViolation(f"line {i} lost all marks")
-            off = line.point_distance(marks)
+            rel = marks - a
+            off = np.linalg.norm(rel - np.outer(rel @ v, v), axis=1)
             if not off.max() <= 1e-9:
                 raise SoundnessViolation(f"marks strayed from line {i}")
             if marks.shape[0] > 1:
-                proj = marks @ line.direction.vector
-                gaps = np.diff(np.sort(proj))
+                gaps = np.diff(np.sort(marks @ v))
                 if not gaps.min() >= floor:
                     raise SoundnessViolation(
                         f"marks on line {i} at gap {gaps.min():.3e} < eta"
@@ -176,17 +211,8 @@ def initial_state(d: int, s: float, t: float) -> MarkedLineState:
         raise InvalidParameter("intersection dimension s must lie in [0, 1]")
     if not (0.0 <= t <= 2.0 * (d - 1)):
         raise InvalidParameter(f"t must lie in [0, {2 * (d - 1)}]")
-    line = AffineLine(Direction(np.eye(d)[0]), np.zeros(d))
-    return MarkedLineState(
-        k=0,
-        eta=1.0,
-        lines=(line,),
-        marks=(np.zeros((1, d)),),
-        d=d,
-        s=s,
-        t=t,
-        history=(),
-    )
+    origin = np.zeros((1, d))
+    return MarkedLineState.from_arrays(0, 1.0, np.eye(d)[:1], origin, [origin], s, t)
 
 
 def line_spread_radius(state: MarkedLineState, eta_next: float) -> float:
@@ -200,14 +226,16 @@ def mark_spread_radius(state: MarkedLineState, eta_next: float) -> float:
     return eta_next ** (1.0 - state.s) * state.eta / 2.0
 
 
-def _line_net(line: AffineLine, radius: float, sep: float) -> list[AffineLine]:
+def _line_net(v0: np.ndarray, a0: np.ndarray, radius: float, sep: float):
     """Greedy maximal sep-separated net of lines in the radius-ball.
 
     Candidates live on a half-sep lattice in local coordinates (direction
     offset x translation offset), visited in lexicographic order; a
     candidate is kept when it is at least `sep` from every kept line in
     the line metric.  When the radius falls below the lattice step the
-    center line itself is kept, so the net is never empty.
+    center line itself is kept, so the net is never empty.  Returns the
+    kept rows' (k, d) directions and translations; a translation more
+    than ORTHO_TOL off orthogonal to its direction raises InvalidParameter.
 
     A direction offset c turns the center direction v0 by c along
     `_gram_schmidt_frame(v0)` (in the plane: by the angle c), and a
@@ -228,15 +256,14 @@ def _line_net(line: AffineLine, radius: float, sep: float) -> list[AffineLine]:
     direction within the radius, and m kernel calls of at most k rows
     each; no temporary is larger than a block of the lattice.
     """
-    d = line.dim
+    d = v0.size
     h = sep / 2.0
     span = int(math.floor(radius / h + 1e-12))
     limit = radius * (1 + 1e-9)
     floor = sep * (1.0 - SEPARATION_TOL)
     axes = (2 * span + 1,) * (2 * (d - 1))
     per_direction = (2 * span + 1) ** (d - 1)
-    center = (line.direction.vector[None], line.translation[None])
-    kept: list[AffineLine] = []
+    kept = 0
     kept_dirs = np.empty((16, d))
     kept_trans = np.empty((16, d))
     total = (2 * span + 1) ** len(axes)
@@ -253,47 +280,49 @@ def _line_net(line: AffineLine, radius: float, sep: float) -> list[AffineLine]:
             flat[inside] // per_direction, return_index=True, return_inverse=True
         )
         v, canon, base, frames = _net_directions(
-            line, [off[inside[first]] for off in offsets[: d - 1]]
+            v0, a0, [off[inside[first]] for off in offsets[: d - 1]]
         )
         v, canon = v[which], canon[which]
         a = base[which]
         for c, off in enumerate(offsets[d - 1 :]):
             a = a + off[inside][:, None] * frames[which, c]
         trans = a - _row_dots(a, v)[:, None] * v
-        near = ~(line_distances(canon, trans, *center) > limit)
+        near = ~(line_distances(canon, trans, v0[None], a0[None]) > limit)
         for c in np.flatnonzero(near):
-            n = len(kept)
-            if n and not (
+            if kept and not (
                 line_distances(canon[c : c + 1], trans[c : c + 1],
-                               kept_dirs[:n], kept_trans[:n]) >= floor
+                               kept_dirs[:kept], kept_trans[:kept]) >= floor
             ).all():
                 continue
-            if n == len(kept_dirs):
+            if kept == len(kept_dirs):
                 kept_dirs = np.concatenate([kept_dirs, kept_dirs])
                 kept_trans = np.concatenate([kept_trans, kept_trans])
-            kept_dirs[n], kept_trans[n] = canon[c], trans[c]
-            kept.append(AffineLine(Direction(v[c]), trans[c]))
+            kept_dirs[kept], kept_trans[kept] = canon[c], trans[c]
+            kept += 1
     if not kept:  # radius below the lattice step: keep the center
-        kept.append(line)
-    return kept
+        return v0[None], a0[None]
+    dots = _row_dots(kept_trans[:kept], kept_dirs[:kept])
+    skew = dots[np.abs(dots) > ORTHO_TOL]
+    if skew.size:
+        raise InvalidParameter("translation must be orthogonal to the direction "
+                               f"(inner product {skew[0]:.3e})")
+    return kept_dirs[:kept], kept_trans[:kept]
 
 
-def _net_directions(line: AffineLine, offsets):
+def _net_directions(v0: np.ndarray, a0: np.ndarray, offsets):
     """The candidate directions of `_line_net` at some direction offsets.
 
     `offsets` holds d - 1 arrays, one per coordinate of the offsets.
     Returns, one row per offset: the canonical direction v, its
-    re-canonicalised form (what `Direction(v)` stores), the center
-    translation projected off v, and v's translation frame, an (m, d - 1,
-    d) array (in the plane the normal (-v_2, v_1); in d >= 3
+    re-canonicalised form (the direction a kept line stores), the center
+    translation a0 projected off v, and v's translation frame, an (m, d -
+    1, d) array (in the plane the normal (-v_2, v_1); in d >= 3
     `_gram_schmidt_frame(v)`, one call per row).  The planar angles are
     turned into vectors with math.cos / math.sin, one value at a time,
     whose rounding numpy's array functions need not share.
     """
-    d = line.dim
-    v0 = line.direction.vector
-    if d == 2:
-        theta = line.direction.angle() + offsets[0]
+    if v0.size == 2:
+        theta = float(np.arctan2(v0[1], v0[0])) % np.pi + offsets[0]
         v = _canonical_rows(np.array([[math.cos(x), math.sin(x)] for x in theta.tolist()]))
         frames = np.stack([-v[:, 1], v[:, 0]], axis=1)[:, None, :]
     else:
@@ -302,8 +331,8 @@ def _net_directions(line: AffineLine, offsets):
             w = w + off[:, None] * f
         v = _canonical_rows(w)
         frames = np.array([_gram_schmidt_frame(row) for row in v])
-    a0 = np.broadcast_to(line.translation, v.shape)
-    base = a0 - _row_dots(a0, v)[:, None] * v
+    a = np.broadcast_to(a0, v.shape)
+    base = a - _row_dots(a, v)[:, None] * v
     return v, _canonical_rows(v), base, frames
 
 
@@ -334,23 +363,15 @@ def spread_lines(state: MarkedLineState, eta_next: float) -> MarkedLineState:
     """
     _check_step(state, eta_next)
     radius = line_spread_radius(state, eta_next)
-    new_lines: list[AffineLine] = []
-    new_marks: list[np.ndarray] = []
-    for line, marks in zip(state.lines, state.marks):
-        net = _line_net(line, radius, eta_next)
-        dirs = np.array([nl.direction.vector for nl in net])
-        trans = np.array([nl.translation for nl in net])
-        new_lines.extend(net)
-        new_marks.extend(_transfer_marks(marks, line.direction.vector, dirs, trans))
-    out = MarkedLineState(
-        k=state.k + 1,
-        eta=eta_next,
-        lines=tuple(new_lines),
-        marks=tuple(new_marks),
-        d=state.d,
-        s=state.s,
-        t=state.t,
-        history=state.history + (OPTION_LINES,),
+    dirs, trans, marks = [], [], []
+    for v, a, old in zip(state.family.directions, state.family.translations, state.marks):
+        net = _line_net(v, a, radius, eta_next)
+        dirs.append(net[0])
+        trans.append(net[1])
+        marks.extend(_transfer_marks(old, v, *net))
+    out = MarkedLineState.from_arrays(
+        state.k + 1, eta_next, np.concatenate(dirs), np.concatenate(trans), marks,
+        state.s, state.t, state.history + (OPTION_LINES,),
     )
     out.check_separations()
     return out
@@ -362,15 +383,16 @@ def spread_marks(state: MarkedLineState, eta_next: float) -> MarkedLineState:
     Lines are unchanged; each mark becomes the arithmetic run of spacing
     eta_next reaching r_B = eta_next^{1-s} * eta_k / 2 on both sides
     (the greedy lattice net along the line).  Runs of adjacent marks are
-    re-thinned at eta_next where they touch.
+    re-thinned at eta_next where they touch.  Positions are marks_i @ v_i,
+    one product per line, as a stacked form rounds differently.
     """
     _check_step(state, eta_next)
     reach = mark_spread_radius(state, eta_next)
     n_off = int(math.floor(reach / eta_next + 1e-12))
     offsets = np.arange(-n_off, n_off + 1) * eta_next
+    dirs, trans = state.family.directions, state.family.translations
     new_marks: list[np.ndarray] = []
-    for line, marks in zip(state.lines, state.marks):
-        v = line.direction.vector
+    for v, a, marks in zip(dirs, trans, state.marks):
         positions = np.sort(marks @ v)
         spread = (positions[:, None] + offsets[None, :]).ravel()
         spread.sort()
@@ -378,17 +400,10 @@ def spread_marks(state: MarkedLineState, eta_next: float) -> MarkedLineState:
         for p in spread[1:]:
             if p - kept[-1] >= eta_next * (1.0 - SEPARATION_TOL):
                 kept.append(p)
-        pts = line.translation + np.outer(np.array(kept), v)
-        new_marks.append(pts)
-    out = MarkedLineState(
-        k=state.k + 1,
-        eta=eta_next,
-        lines=state.lines,
-        marks=tuple(new_marks),
-        d=state.d,
-        s=state.s,
-        t=state.t,
-        history=state.history + (OPTION_MARKS,),
+        new_marks.append(a + np.outer(np.array(kept), v))
+    out = MarkedLineState.from_arrays(
+        state.k + 1, eta_next, dirs, trans, new_marks,
+        state.s, state.t, state.history + (OPTION_MARKS,),
     )
     out.check_separations()
     return out
@@ -451,6 +466,59 @@ def run_alternating(
             )
         states.append(state)
     return states
+
+
+def write_states(path, schedule: ScaleSchedule, states) -> None:
+    """Write a trajectory as states.json; the module docstring gives the layout."""
+    write_json(path, {
+        "d": states[0].d,
+        "s": states[0].s,
+        "t": states[0].t,
+        "schedule": schedule.to_config(),
+        "states": [{
+            "k": st.k,
+            "eta": st.eta,
+            "lines": [{"direction": v, "translation": a} for v, a in zip(
+                st.family.directions.tolist(), st.family.translations.tolist())],
+            "marks": [m.tolist() for m in st.marks],
+            "option": st.history[-1] if st.history else None,
+        } for st in states],
+    })
+
+
+def read_states(path) -> list[MarkedLineState]:
+    """The trajectory in a states.json, bit for bit; the module docstring gives the checks."""
+    payload = read_json(path)
+    try:
+        d, states, history = payload["d"], [], ()
+        for st in payload["states"]:
+            where = f"{path}: state {st['k']}"
+            lines, marks = st["lines"], st["marks"]
+            if len(marks) != len(lines) or not lines:
+                raise InconsistentInput(f"{where} has {len(marks)} marks lists "
+                                        f"for {len(lines)} lines")
+            history += (st["option"],) if st["option"] else ()
+            states.append(MarkedLineState.from_arrays(
+                st["k"], st["eta"],
+                _stored_rows([ln["direction"] for ln in lines], d, f"{where} directions"),
+                _stored_rows([ln["translation"] for ln in lines], d, f"{where} translations"),
+                [_stored_rows(m, d, f"{where} marks of line {i}") for i, m in enumerate(marks)],
+                payload["s"], payload["t"], history,
+            ))
+    except (TypeError, KeyError) as exc:
+        raise InconsistentInput(f"{path}: malformed states ({exc!r})") from exc
+    return states
+
+
+def _stored_rows(value, d: int, what: str) -> np.ndarray:
+    """`value` as a float array; InconsistentInput unless non-empty, finite and (n, d)."""
+    try:
+        rows = np.array(value, dtype=float)
+    except ValueError as exc:  # ragged, or not numbers
+        raise InconsistentInput(f"{what} are not an array of numbers") from exc
+    if rows.ndim != 2 or rows.shape[1] != d or not np.isfinite(rows).all():
+        raise InconsistentInput(f"{what} must be a non-empty, finite (n, {d}) array")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -540,7 +608,7 @@ def intersection_profile(states, line: AffineLine, delta: float) -> IntervalProf
     k = max(ks)
     state = states[k]
     dists = line_distances(line.direction.vector[None], line.translation[None],
-                           *state.line_arrays())
+                           state.family.directions, state.family.translations)
     nearest = int(np.argmin(dists))
     if dists[nearest] > state.eta:
         raise NotInFamily(

@@ -70,17 +70,6 @@ class Direction:
     def __init__(self, vector):
         object.__setattr__(self, "vector", canonical_vector(vector))
 
-    @property
-    def dim(self) -> int:
-        return self.vector.size
-
-    def angle(self) -> float:
-        """Canonical angle in [0, pi) for planar directions."""
-        if self.dim != 2:
-            raise InvalidParameter("angle() is defined for d=2 only")
-        theta = float(np.arctan2(self.vector[1], self.vector[0]))
-        return theta % np.pi
-
 
 @dataclass(frozen=True, eq=False)
 class AffineLine:
@@ -103,10 +92,6 @@ class AffineLine:
         a.setflags(write=False)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "translation", a)
-
-    @property
-    def dim(self) -> int:
-        return self.direction.dim
 
     def point_distance(self, points) -> np.ndarray:
         """Euclidean distance from points (n, d) to this line."""
@@ -861,28 +846,6 @@ class LineFamily:
              for start in blocks),
             default=0.0,
         )))
-
-
-@dataclass(frozen=True)
-class MeshCellId:
-    """One product cell of the line-space mesh at some scale.
-
-    `direction_bucket` indexes the realized direction cover;
-    `translation_cell` holds the integer coordinates N of the product of
-    intervals [4*N*delta, 4*(N+1)*delta) in the bucket frame.
-    """
-
-    direction_bucket: int
-    translation_cell: tuple
-
-
-def mesh_cells(family: LineFamily, delta: float) -> list[MeshCellId]:
-    """The mesh cell of every line, in family order."""
-    buckets, cells, _ = mesh_assign(family, delta)
-    return [
-        MeshCellId(int(b), tuple(int(c) for c in row))
-        for b, row in zip(buckets, cells)
-    ]
 
 
 def mesh_assign(family: LineFamily, delta: float, cover: DirectionCover | None = None):

@@ -159,6 +159,12 @@ def read_csv(path) -> np.ndarray:
     return data
 
 
+def read_json(path):
+    """The JSON value in a file."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def write_json(path, payload) -> None:
     """Indented JSON with sorted keys and a trailing newline."""
     with open(path, "w") as fh:

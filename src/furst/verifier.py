@@ -32,7 +32,7 @@ from .grassmann import (
 from .util import min_pairwise_distance, snap_floor
 
 THINNING_SEPARATION = 4.0  # translations thinned to >= 4*delta apart
-TWO_POINT_CONSTANT = 16.0  # documented constant C in the bound floor
+TWO_POINT_CONSTANT = 16.0  # echoed in each two-point certificate's meta; no bound uses it
 WITNESS_SLACK_EPS = 16.0  # prefilter slack, in units of d^2 * eps * scale (see _witness_on_line)
 
 

@@ -6,7 +6,8 @@ directions, in tuple order, plus the norm of the translation difference),
 `lex_grid`, building each candidate line with its own Gram-Schmidt frames
 and testing it against every kept line one `metric_d1` call at a time,
 `transfer_mark` moves one mark at a time, and `first_violation` measures
-every pair of lines in order.  The package builds the lattice, the
+every pair of lines in order.  A state's lines are read from its arrays
+as stored: an `AffineLine` would re-canonicalise the direction.  The package builds the lattice, the
 candidates and the mark transfers as arrays, measures a candidate against
 all kept lines in one `line_distances` call and checks separation by a
 cell search; test_packing_identity.py compares the two.  No `assert` here,
@@ -63,11 +64,12 @@ def lex_grid(axes):
             yield (x, *rest)
 
 
-def line_net(line, radius, sep):
-    d = line.dim
+def line_net(v0, a0, radius, sep):
+    """The net around the line with direction v0 and translation a0, as (k, d) arrays."""
+    d = v0.size
     h = sep / 2.0
     span = int(math.floor(radius / h + 1e-12))
-    theta0 = line.direction.angle() if d == 2 else None
+    theta0 = float(np.arctan2(v0[1], v0[0])) % np.pi if d == 2 else None
     kept = []
 
     def candidate(dir_off, trans_off):
@@ -75,13 +77,12 @@ def line_net(line, radius, sep):
             theta = theta0 + dir_off[0]
             v = canonical_vector([math.cos(theta), math.sin(theta)])
         else:
-            v0 = line.direction.vector
             w = v0.copy()
             frame = _gram_schmidt_frame(v0)
             for c, f in zip(dir_off, frame):
                 w = w + c * f
             v = canonical_vector(w)
-        base = line.translation - (line.translation @ v) * v
+        base = a0 - (a0 @ v) * v
         if d == 2:
             normal = _perp_2d(v)
             a = base + trans_off[0] * normal
@@ -91,7 +92,7 @@ def line_net(line, radius, sep):
             for c, f in zip(trans_off, frame_perp):
                 a = a + c * f
         cand = AffineLine(Direction(v), a - (a @ v) * v)
-        if metric_d1(cand, line) > radius * (1 + 1e-9):
+        if line_distance(cand.direction.vector, cand.translation, v0, a0) > radius * (1 + 1e-9):
             return None
         return cand
 
@@ -106,13 +107,13 @@ def line_net(line, radius, sep):
         if all(metric_d1(cand, q) >= sep * (1.0 - SEPARATION_TOL) for q in kept):
             kept.append(cand)
     if not kept:
-        kept.append(line)
-    return kept
+        return v0[None], a0[None]
+    return (np.array([ln.direction.vector for ln in kept]),
+            np.array([ln.translation for ln in kept]))
 
 
-def transfer_mark(x, old_dir, new_line):
-    vp = new_line.direction.vector
-    p = new_line.translation
+def transfer_mark(x, old_dir, vp, p):
+    """Mark x of a line with direction old_dir, moved to the line (vp, p)."""
     denom = float(vp @ old_dir)
     if abs(denom) < 1e-9:
         tau = float((x - p) @ vp)
@@ -124,16 +125,16 @@ def transfer_mark(x, old_dir, new_line):
 def spread_lines(state, eta_next):
     """The line-spreading step, without its separation check."""
     radius = line_spread_radius(state, eta_next)
-    new_lines, new_marks = [], []
-    for line, marks in zip(state.lines, state.marks):
-        for nl in line_net(line, radius, eta_next):
-            new_lines.append(nl)
-            new_marks.append(
-                np.array([transfer_mark(x, line.direction.vector, nl) for x in marks])
-            )
-    return MarkedLineState(
-        k=state.k + 1, eta=eta_next, lines=tuple(new_lines), marks=tuple(new_marks),
-        d=state.d, s=state.s, t=state.t, history=state.history + (OPTION_LINES,),
+    dirs, trans, new_marks = [], [], []
+    for i, marks in enumerate(state.marks):
+        v0, a0 = state.family.directions[i], state.family.translations[i]
+        for vp, p in zip(*line_net(v0, a0, radius, eta_next)):
+            dirs.append(vp)
+            trans.append(p)
+            new_marks.append(np.array([transfer_mark(x, v0, vp, p) for x in marks]))
+    return MarkedLineState.from_arrays(
+        state.k + 1, eta_next, np.array(dirs), np.array(trans), new_marks,
+        state.s, state.t, state.history + (OPTION_LINES,),
     )
 
 

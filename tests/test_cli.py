@@ -173,7 +173,7 @@ class TestConstruct:
         cfg_path = write_config(tmp_path / "u.json", UNSOUND_PACKING_CONFIG)
         out = tmp_path / "u"
         assert main(["construct-packing", "--config", cfg_path, "--out", str(out)]) == 3
-        assert "< eta" in capsys.readouterr().err
+        assert "marks on line 1 at gap 2.220e-16 < eta" in capsys.readouterr().err
         assert not (out / "states.json").exists()
 
     def test_unsound_packing_exits_3_under_optimize(self, tmp_path):
@@ -363,6 +363,44 @@ class TestEstimateVerifyReport:
         certs = json.loads((out / "certificates.json").read_text())
         assert certs["all_sound"]
         assert certs["certificates"][0]["branch"].startswith("dichotomy")
+
+    @pytest.mark.parametrize("case, message", [
+        ("ragged marks", "marks of line 0 are not an array of numbers"),
+        ("empty marks", "marks of line 0 must be a non-empty, finite (n, 2) array"),
+        ("wrong-width marks", "marks of line 0 must be a non-empty, finite (n, 2) array"),
+        ("non-finite marks", "marks of line 0 must be a non-empty, finite (n, 2) array"),
+        ("last marks list deleted", "has 15 marks lists for 16 lines"),
+        ("last line deleted", "has 16 marks lists for 15 lines"),
+    ])
+    def test_malformed_states_json_is_user_error(self, tmp_path, capsys, case, message):
+        cfg = dict(PACKING_CONFIG)
+        cfg["schedule"] = {"mode": "demo", "etas": [1.0, 1 / 16, 2.0**-10]}
+        out = tmp_path / "p"
+        argv = ["--config", write_config(tmp_path / "p.json", cfg), "--out", str(out)]
+        assert main(["construct-packing"] + argv) == 0
+        payload = json.loads((out / "states.json").read_text())
+        final = payload["states"][-1]
+        assert len(final["lines"]) == 16 and len(final["marks"][0]) == 3
+        if case == "ragged marks":
+            final["marks"][0][1] = final["marks"][0][1][:1]
+        elif case == "empty marks":
+            final["marks"][0] = []
+        elif case == "wrong-width marks":
+            final["marks"][0] = [row + [0.0] for row in final["marks"][0]]
+        elif case == "non-finite marks":
+            final["marks"][0][1][0] = float("nan")
+        elif case == "last marks list deleted":
+            del final["marks"][-1]
+        else:
+            del final["lines"][-1]
+        (out / "states.json").write_text(json.dumps(payload))
+        for command in ("estimate", "verify"):
+            assert main([command, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert f"states.json: state 2 {message}" in err, err
+            assert "Traceback" not in err
+        assert not (out / "packing_exponents.csv").exists()
+        assert not (out / "certificates.json").exists()
 
     def test_verify_empty_family_warns_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "empty"

@@ -23,8 +23,8 @@ def demo_schedule():
 
 def state_at(eta, s=0.5, t=1.0):
     st = furst.initial_state(2, s, t)
-    return furst.MarkedLineState(
-        k=0, eta=eta, lines=st.lines, marks=st.marks, d=2, s=s, t=t, history=()
+    return furst.MarkedLineState.from_arrays(
+        0, eta, st.family.directions, st.family.translations, st.marks, s, t
     )
 
 
@@ -131,16 +131,15 @@ class TestSpreadMarks:
     def test_lines_unchanged(self):
         st = state_at(0.25)
         out = furst.spread_marks(st, 1 / 4096)
-        assert out.lines == st.lines
+        for name in ("directions", "translations"):
+            assert np.array_equal(getattr(out.family, name), getattr(st.family, name))
 
     def test_adjacent_runs_rethinned(self):
         # two marks eta apart with s = 1 produce touching runs; the result
         # must still be eta_next-separated on the line
-        line = furst.standard_form([0, 0], [1, 0])
-        marks = (np.array([[0.0, 0.0], [0.25, 0.0]]),)
-        st = furst.MarkedLineState(
-            k=0, eta=0.25, lines=(line,), marks=marks, d=2, s=1.0, t=1.0,
-            history=(),
+        marks = [np.array([[0.0, 0.0], [0.25, 0.0]])]
+        st = furst.MarkedLineState.from_arrays(
+            0, 0.25, [[1.0, 0.0]], [[0.0, 0.0]], marks, 1.0, 1.0
         )
         out = furst.spread_marks(st, 1 / 64)
         out.check_separations()
@@ -231,12 +230,10 @@ class TestRunAlternating:
 
 def parallel_state(n, eta=0.01):
     """n horizontal lines eta apart, one mark each: eta-separated."""
-    lines = tuple(
-        furst.AffineLine([1.0, 0.0], [0.0, i * eta]) for i in range(n)
-    )
-    marks = tuple(np.array([[0.0, i * eta]]) for i in range(n))
-    return furst.MarkedLineState(
-        k=1, eta=eta, lines=lines, marks=marks, d=2, s=0.5, t=1.0, history=()
+    trans = np.array([[0.0, i * eta] for i in range(n)])
+    dirs = np.tile([1.0, 0.0], (n, 1))
+    return furst.MarkedLineState.from_arrays(
+        1, eta, dirs, trans, list(trans[:, None, :]), 0.5, 1.0
     )
 
 
@@ -252,13 +249,11 @@ class TestSampledSeparation:
         # lines 700 and 1400 are 1e-4 apart; the old check sampled 15,010 of
         # the 1,125,750 pairs and measured only the consecutive ones for sure
         state = parallel_state(1501)
-        lines = list(state.lines)
-        lines[1400] = furst.AffineLine([1.0, 0.0], [0.0, 7.0001])
-        marks = list(state.marks)
-        marks[1400] = np.array([[0.0, 7.0001]])
-        moved = furst.MarkedLineState(
-            k=1, eta=state.eta, lines=tuple(lines), marks=tuple(marks),
-            d=2, s=0.5, t=1.0, history=(),
+        trans = state.family.translations.copy()
+        trans[1400] = [0.0, 7.0001]
+        moved = furst.MarkedLineState.from_arrays(
+            1, state.eta, state.family.directions, trans, list(trans[:, None, :]),
+            0.5, 1.0,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -304,7 +299,7 @@ class TestNeighborhoodCounts:
 class TestIntersectionProfile:
     def test_construction_line_counts_its_marks(self):
         states = furst.run_alternating(2, 0.5, 1.0, demo_schedule())
-        probe = states[2].lines[3]
+        probe = states[2].family.line(3)
         prof = furst.intersection_profile(states, probe, DEMO_ETAS[2])
         assert prof.count == states[2].marks[3].shape[0]
         assert prof.passed
@@ -315,7 +310,7 @@ class TestIntersectionProfile:
         states = furst.run_alternating(
             2, 0.5, 1.0, sched, first_option=OPTION_MARKS
         )
-        prof = furst.intersection_profile(states, states[1].lines[0], 1 / 16)
+        prof = furst.intersection_profile(states, states[1].family.line(0), 1 / 16)
         target = (1 / 16) ** -0.5
         assert target / 4 <= prof.count <= target * 4
 
@@ -324,7 +319,7 @@ class TestIntersectionProfile:
         states = furst.run_alternating(
             2, 0.5, 1.0, sched, first_option=OPTION_MARKS
         )
-        ln = states[1].lines[0]
+        ln = states[1].family.line(0)
         normal = np.array([-ln.direction.vector[1], ln.direction.vector[0]])
         probe = furst.AffineLine(ln.direction, ln.translation + (1 / 32) * normal)
         base = furst.intersection_profile(states, ln, 1 / 16)

@@ -218,19 +218,6 @@ class TestMeshCoverCount:
                 full, delta
             )
 
-    def test_mesh_cells_match_count(self):
-        rng = np.random.default_rng(21)
-        lines = [
-            furst.standard_form(rng.uniform(-1, 1, 2), rng.standard_normal(2))
-            for _ in range(25)
-        ]
-        fam = self.fam(lines)
-        for delta in (0.2, 0.05):
-            ids = furst.mesh_cells(fam, delta)
-            assert len(ids) == len(fam)
-            assert all(isinstance(c.translation_cell, tuple) for c in ids)
-            assert len(set(ids)) == furst.mesh_cover_count(fam, delta)
-
     def test_upper_bound_and_equality_case(self):
         delta = 0.05
         # same direction, translations >= 4*sqrt(d-1)*delta apart: all distinct

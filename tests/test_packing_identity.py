@@ -38,10 +38,12 @@ def bits(a) -> bytes:
 
 def assert_same_state(got, want):
     assert (got.k, got.eta, got.history) == (want.k, want.eta, want.history)
-    assert got.num_lines == want.num_lines
-    for g, w in zip(got.lines, want.lines):
-        assert bits(g.direction.vector) == bits(w.direction.vector)
-        assert bits(g.translation) == bits(w.translation)
+    assert (got.d, got.s, got.t) == (want.d, want.s, want.t)
+    assert bits(got.family.directions) == bits(want.family.directions)
+    assert bits(got.family.translations) == bits(want.family.translations)
+    assert got.family.resolution_floor == want.family.resolution_floor
+    assert got.counts.tolist() == want.counts.tolist()
+    assert bits(got.points) == bits(want.points)
     assert [bits(m) for m in got.marks] == [bits(m) for m in want.marks]
 
 
@@ -66,12 +68,11 @@ def test_growing_net_step_in_three_dimensions_matches_reference():
     s, t = PARAMS[3]
     states = furst.run_alternating(3, s, t, schedule(GROWING_ETAS[:3]))
     parents = states[-1]
-    picked = (0, len(parents.lines) // 2, len(parents.lines) - 1)
-    sub = MarkedLineState(
-        k=parents.k, eta=parents.eta,
-        lines=tuple(parents.lines[i] for i in picked),
-        marks=tuple(parents.marks[i] for i in picked),
-        d=3, s=s, t=t, history=parents.history,
+    picked = [0, parents.num_lines // 2, parents.num_lines - 1]
+    sub = MarkedLineState.from_arrays(
+        parents.k, parents.eta,
+        parents.family.directions[picked], parents.family.translations[picked],
+        [parents.marks[i] for i in picked], s, t, parents.history,
     )
     got = furst.spread_lines(sub, GROWING_ETAS[3])
     assert got.num_lines > 3 * 50  # a full net around each parent
@@ -133,7 +134,8 @@ def test_line_distances_match_the_scalar_metric(pair):
 
 def test_metric_d1_matches_reference_on_construction_lines():
     states = furst.run_alternating(3, 0.5, 2.0, schedule(GROWING_ETAS[:3]))
-    lines = states[-1].lines
+    family = states[-1].family
+    lines = [family.line(i) for i in range(len(family))]
     for i in range(0, len(lines), 7):
         for j in range(len(lines)):
             assert bits([furst.metric_d1(lines[i], lines[j])]) == bits(
@@ -160,6 +162,13 @@ def arrays(lines):
             np.array([ln.translation for ln in lines]))
 
 
+def state_of(lines, eta):
+    """The state of these lines, each marked at its translation."""
+    return MarkedLineState.from_arrays(
+        1, eta, *arrays(lines), [ln.translation[None, :] for ln in lines], 0.5, 1.0
+    )
+
+
 def check_against_reference(lines, eta):
     floor = eta * (1.0 - SEPARATION_TOL)
     want = ref.first_violation(lines, floor)
@@ -170,11 +179,12 @@ def check_against_reference(lines, eta):
         assert got is not None
         assert got[:2] == want[:2]
         assert bits([got[2]]) == bits([want[2]])
-    state = MarkedLineState(
-        k=1, eta=eta, lines=tuple(lines),
-        marks=tuple(ln.translation[None, :] for ln in lines),
-        d=lines[0].dim, s=0.5, t=1.0, history=(),
-    )
+    if not np.isfinite(arrays(lines)[1]).all():
+        # a state holds a LineFamily, which refuses non-finite lines
+        with pytest.raises(InvalidParameter, match="finite"):
+            state_of(lines, eta)
+        return want
+    state = state_of(lines, eta)
     if want is None:
         state.check_separations()
     else:
