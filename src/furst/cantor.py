@@ -87,18 +87,19 @@ def _endpoint_numerators(spec: CantorSpec, k: int) -> np.ndarray:
     return nums
 
 
-def points_at_depth(spec: CantorSpec, k: int, cap: int = DEFAULT_POINT_CAP) -> np.ndarray:
+def points_at_depth(spec: CantorSpec, k: int) -> np.ndarray:
     """Left endpoints of all level-k intervals, ascending.
 
     Positions are computed as exact integers over base^k and divided once,
     so each endpoint is the correctly rounded float of the exact rational.
+    A depth with more than DEFAULT_POINT_CAP endpoints raises ResourceCap.
     """
     if k < 0:
         raise InvalidParameter("depth must be >= 0")
     count = covering_count(spec, k)
-    if count > cap:
+    if count > DEFAULT_POINT_CAP:
         raise ResourceCap(
-            f"depth {k} would generate {count} points, over the cap {cap}"
+            f"depth {k} would generate {count} points, over the cap {DEFAULT_POINT_CAP}"
         )
     if k > spec.max_exact_depth():
         raise InvalidParameter(
@@ -161,10 +162,10 @@ def scaled_count_check(spec: CantorSpec, c: int, k: int) -> ScalingWitness:
     )
 
 
-def spec_for_dimension(s: float, max_base: int = 64) -> CantorSpec:
+def spec_for_dimension(s: float) -> CantorSpec:
     """Digit construction whose dimension best approximates a target s.
 
-    Scans bases up to `max_base` and digit-set sizes, minimizing
+    Scans bases up to 64 and digit-set sizes, minimizing
     |log(nd)/log(B) - s|; ties prefer the smaller base, then the smaller
     digit set.  Digits are spread evenly across [0, B-1] (0 always
     included) so level-1 intervals are as separated as the count allows.
@@ -172,7 +173,7 @@ def spec_for_dimension(s: float, max_base: int = 64) -> CantorSpec:
     if not (0.0 <= s <= 1.0):
         raise InvalidParameter("target dimension must lie in [0, 1]")
     best = None
-    for base in range(2, max_base + 1):
+    for base in range(2, 65):
         for nd in range(1, base + 1):
             err = abs(log(nd) / log(base) - s)
             key = (err, base, nd)

@@ -16,9 +16,11 @@ codec of states.json: d, s, t, the schedule and, per state, k, eta, the
 option that made it (null for state 0), each line's direction and
 translation and one marks list per line, every float as its repr, so a
 read gives back the written bits.  The reader checks its input: every
-state must hold at least one line and one marks list per line, and the
+state must hold at least one line and one marks list per line, the
 directions, translations and each marks list must be non-empty, finite
-(n, d) arrays of numbers, or it raises InconsistentInput.
+(n, d) arrays of numbers, and every state must pass the separation checks
+construction ran on it (`MarkedLineState.check_separations`), or it
+raises InconsistentInput: the file, not the package, is at fault.
 """
 
 import math
@@ -42,6 +44,7 @@ from .grassmann import (
     LineFamily,
     _canonical_rows,
     _gram_schmidt_frame,
+    _point_line_distances,
     _row_dots,
     first_close_pair,
     line_distances,
@@ -168,8 +171,8 @@ class MarkedLineState:
             return self.family
         return LineFamily._owning(self.family.directions, self.family.translations, floor)
 
-    def check_separations(self, tol: float = SEPARATION_TOL) -> None:
-        """Exhaustive separation checks, to rounding (tolerance `tol` relative).
+    def check_separations(self) -> None:
+        """Exhaustive separation checks, to rounding (SEPARATION_TOL relative).
 
         Lines pairwise >= eta in the line metric; marks on each line
         pairwise >= eta; every mark on its line.  Raises SoundnessViolation
@@ -180,7 +183,7 @@ class MarkedLineState:
         pair below it.  Marks are checked line by line, as marks_i @ v_i
         rounds differently from any stacked form.
         """
-        floor = self.eta * (1.0 - tol)
+        floor = self.eta * (1.0 - SEPARATION_TOL)
         dirs, trans = self.family.directions, self.family.translations
         close = first_close_pair(dirs, trans, floor)
         if close is not None:
@@ -191,9 +194,7 @@ class MarkedLineState:
         for i, (v, a, marks) in enumerate(zip(dirs, trans, self.marks)):
             if marks.shape[0] < 1:
                 raise SoundnessViolation(f"line {i} lost all marks")
-            rel = marks - a
-            off = np.linalg.norm(rel - np.outer(rel @ v, v), axis=1)
-            if not off.max() <= 1e-9:
+            if not _point_line_distances(marks, v, a).max() <= 1e-9:
                 raise SoundnessViolation(f"marks strayed from line {i}")
             if marks.shape[0] > 1:
                 gaps = np.diff(np.sort(marks @ v))
@@ -498,13 +499,18 @@ def read_states(path) -> list[MarkedLineState]:
                 raise InconsistentInput(f"{where} has {len(marks)} marks lists "
                                         f"for {len(lines)} lines")
             history += (st["option"],) if st["option"] else ()
-            states.append(MarkedLineState.from_arrays(
+            state = MarkedLineState.from_arrays(
                 st["k"], st["eta"],
                 _stored_rows([ln["direction"] for ln in lines], d, f"{where} directions"),
                 _stored_rows([ln["translation"] for ln in lines], d, f"{where} translations"),
                 [_stored_rows(m, d, f"{where} marks of line {i}") for i, m in enumerate(marks)],
                 payload["s"], payload["t"], history,
-            ))
+            )
+            try:
+                state.check_separations()
+            except SoundnessViolation as exc:
+                raise InconsistentInput(f"{where} fails its separation checks: {exc}") from exc
+            states.append(state)
     except (TypeError, KeyError) as exc:
         raise InconsistentInput(f"{path}: malformed states ({exc!r})") from exc
     return states

@@ -35,7 +35,7 @@ NET_CANDIDATE_CAP = 400_000  # most candidates a d >= 3 greedy net may test
 # 2^-24 (52.7 M buckets) peaks near 2 GB; 2^-25 would need 105 M
 PLANAR_BUCKET_CAP = 2**26
 NET_BLOCK_ROWS = 128  # d = 3 candidates tested against their bands per block
-NET_MARGIN = 1e-12  # a blocked |cos| this close to the limit decides nothing
+NET_MARGIN = 1e-12  # a BLAS |cos| this close to the limit is taken again in fixed order
 NET_BAND_SLACK = 1e-9  # added to the band radius for rounding in the heights
 SEPARATION_PAIR_BLOCK = 1 << 16  # candidate line pairs measured per kernel call
 
@@ -96,10 +96,14 @@ class AffineLine:
     def point_distance(self, points) -> np.ndarray:
         """Euclidean distance from points (n, d) to this line."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = pts - self.translation
-        along = rel @ self.direction.vector
-        perp = rel - np.outer(along, self.direction.vector)
-        return np.linalg.norm(perp, axis=1)
+        return _point_line_distances(pts, self.direction.vector, self.translation)
+
+
+def _point_line_distances(points: np.ndarray, v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Distance from each row of `points` (n, d) to the line a + R v: the package's one form."""
+    rel = points - a
+    perp = rel - np.outer(rel @ v, v)
+    return np.linalg.norm(perp, axis=1)
 
 
 def standard_form(point, direction) -> AffineLine:
@@ -301,12 +305,14 @@ def _ragged_pairs(first: np.ndarray, counts: np.ndarray, block: int):
 def _fixed_order_cos(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     """|cos| of v with each row, adding the d products left to right.
 
-    Each product and sum is one correctly rounded elementwise operation, so
-    the values are the same on every IEEE machine, unlike a BLAS product.
+    v is one vector or rows whose leading axes broadcast against those of
+    `rows`.  Each product and sum is one correctly rounded elementwise
+    operation, so the values are the same on every IEEE machine, unlike a
+    BLAS product, and with the two vectors swapped.
     """
-    dot = rows[:, 0] * v[0]
-    for c in range(1, rows.shape[1]):
-        dot += rows[:, c] * v[c]
+    dot = rows[..., 0] * v[..., 0]
+    for c in range(1, rows.shape[-1]):
+        dot += rows[..., c] * v[..., c]
     return np.abs(dot)
 
 
@@ -543,12 +549,14 @@ def _canonical_rows(pts: np.ndarray) -> np.ndarray:
 def _greedy_sphere_net(d: int, delta: float) -> np.ndarray:
     """Greedy maximal (0.6 * delta)-separated net of the candidate directions.
 
-    A candidate is kept when its projection distance sqrt(1 - cos^2) to
-    every kept centre is at least 0.6 * delta, i.e. when no |cos| exceeds
-    `_largest_separated_cos`; `_conflicts` is that test, one
-    matrix-vector product against all kept centres.  The centres fill a
-    preallocated (count, d) buffer, so the net is never copied while it
-    grows.
+    A candidate is kept unless it conflicts with a kept centre, the one
+    rule of the net: their |cos|, the d products added left to right
+    (`_fixed_order_cos`), exceeds limit = `_largest_separated_cos(0.6 *
+    delta)`, i.e. their projection distance is below 0.6 * delta.  A BLAS
+    |cos| differs from that value by under d * 2^-52, so one more than
+    NET_MARGIN from limit decides its pair, and one within the margin is
+    taken again in fixed order: no decision depends on the BLAS build or
+    its thread count.  The centres fill a preallocated (count, d) buffer.
 
     d >= 4 runs `_conflicts` on every candidate: O(count * k * d) for
     count = `_net_candidate_count` candidates and k centres.  d = 3 keeps
@@ -574,11 +582,19 @@ def _greedy_sphere_net(d: int, delta: float) -> np.ndarray:
 
 
 def _conflicts(net: np.ndarray, kept: int, c: np.ndarray, limit: float) -> bool:
-    """True when some |cos| of c with the kept centres net[:kept] exceeds limit."""
+    """True when c conflicts with a kept centre of net[:kept] (`_greedy_sphere_net`).
+
+    One matrix-vector product gives every |cos|; one above limit +
+    NET_MARGIN proves a conflict, and those within the margin are tested
+    again in fixed order.
+    """
     if not kept:
         return False
     cos = net[:kept] @ c
-    return bool(cos.max() > limit or cos.min() < -limit)
+    if cos.max() > limit + NET_MARGIN or cos.min() < -limit - NET_MARGIN:
+        return True
+    near = net[:kept][np.abs(cos) >= limit - NET_MARGIN]
+    return bool((_fixed_order_cos(near, c) > limit).any())
 
 
 def _band_radius(limit: float) -> float:
@@ -609,24 +625,19 @@ def _banded_net(cands, heights, limit, net) -> int:
     height, z_c and z_k then differ by less than `_band_radius(limit)`
     either as given or with one negated (NET_BAND_SLACK = 1e-9 covers the
     height and root rounding many times over).  A centre outside both
-    bands therefore has every computed |cos| below limit - NET_MARGIN: it
-    cannot make the plain test reject.
+    bands therefore has every computed |cos|, BLAS or fixed-order, below
+    limit - NET_MARGIN: it cannot conflict with the candidate.
 
     Candidates are taken NET_BLOCK_ROWS at a time.  One product gives each
     candidate's largest |cos| with the centres kept before the block in its
-    two bands; a candidate whose largest |cos| exceeds limit + NET_MARGIN
-    is rejected.  One more product, of the other (open) candidates with
-    themselves, gives the |cos| of each open pair.  Both are computed with
-    other shapes than the plain test, so they may differ from it in the
-    last bits; a value above limit + NET_MARGIN still proves a rejection
-    and one below limit - NET_MARGIN a pass.  When none of these values
-    lies in between, every decision is clear-cut: the kept candidates are
-    the in-order greedy independent set of the graph joining two open
-    candidates whose |cos| exceeds limit + NET_MARGIN, which
-    `_greedy_in_rounds` finds in array rounds.  A block with a value in
-    between runs `_greedy_in_order`, where such a candidate takes the plain
-    test, `_conflicts` against every kept centre.  No build of the tested
-    scales needs it.
+    two bands, and one more product, of the other (open) candidates with
+    themselves, the |cos| of each open pair.  Each value more than
+    NET_MARGIN from limit decides its pair by the rule of
+    `_greedy_sphere_net`.  A candidate whose largest |cos| lies within the
+    margin is tested again against its bands in fixed order, and so is
+    each open pair whose |cos| does.  The block's conflict graph is then
+    exact, and the kept candidates are its in-order greedy independent
+    set, which `_greedy_in_rounds` finds in array rounds.
 
     Cost: about count * band * d for the band products, and per block one
     product of its open candidates (about as many as it keeps) and a few
@@ -658,15 +669,23 @@ def _banded_net(cands, heights, limit, net) -> int:
             if hi > lo:
                 np.maximum(top, np.abs(block @ net[lo:hi].T).max(axis=1), out=top)
         open_ = np.flatnonzero(top <= high)
+        unsure = top[open_] >= low
+        if unsure.any():
+            band = np.concatenate([net[lo:hi] for lo, hi in bands])
+            cos = _fixed_order_cos(band, block[open_[unsure], None])
+            unsure[unsure] = (cos > limit).any(axis=1)
+            open_ = open_[~unsure]
         if not open_.size:
             continue  # each candidate is too close to a kept centre
         rows = block[open_]
         pairs = np.abs(rows @ rows.T)
-        if (top[open_] >= low).any() or ((pairs >= low) & (pairs <= high)).any():
-            chosen = _greedy_in_order(net, kept, block, top, limit)
-        else:
-            m = open_.size
-            chosen = open_[_greedy_in_rounds((pairs > high) & later[:m, :m])]
+        conflict = pairs > high
+        unsure = (pairs >= low) & ~conflict
+        if unsure.any():
+            i, j = np.nonzero(unsure)
+            conflict[i, j] = _fixed_order_cos(rows[i], rows[j]) > limit
+        m = open_.size
+        chosen = open_[_greedy_in_rounds(conflict & later[:m, :m])]
         net[kept : kept + chosen.size] = block[chosen]
         depths[kept : kept + chosen.size] = -z[chosen]
         kept += chosen.size
@@ -693,29 +712,6 @@ def _greedy_in_rounds(conflict: np.ndarray) -> np.ndarray:
         kept |= free
         undecided &= ~free
     return np.flatnonzero(kept)
-
-
-def _greedy_in_order(net, kept, block, top, limit) -> np.ndarray:
-    """Block indices `_banded_net` keeps, deciding one candidate at a time.
-
-    top is each candidate's largest |cos| with the centres kept before the
-    block; it is raised by the block's |cos| with each candidate chosen.  A
-    |cos| within NET_MARGIN of limit takes the plain test against the kept
-    centres net[:kept] and those chosen earlier in the block, which are
-    written into net as they are chosen.
-    """
-    high, low = limit + NET_MARGIN, limit - NET_MARGIN
-    top = top.copy()
-    within = np.abs(block @ block.T)
-    chosen = []
-    for j in np.flatnonzero(top <= high):
-        t = top[j]
-        if t > high or (t >= low and _conflicts(net, kept + len(chosen), block[j], limit)):
-            continue
-        net[kept + len(chosen)] = block[j]
-        chosen.append(j)
-        np.maximum(top, within[j], out=top)
-    return np.array(chosen, dtype=np.int64)
 
 
 def _largest_separated_cos(sep: float) -> float:
@@ -848,12 +844,13 @@ class LineFamily:
         )))
 
 
-def mesh_assign(family: LineFamily, delta: float, cover: DirectionCover | None = None):
+def mesh_assign(family: LineFamily, delta: float):
     """Assign every line a (direction bucket, translation mesh cell) pair.
 
-    The translation is expressed in the bucket center's orthocomplement
-    frame and binned by the 4*delta mesh anchored at 0.  Returns
-    (bucket indices (n,), cell coordinates (n, d-1) int array, cover).
+    The buckets are those of `direction_cover(family.dim, delta)`.  The
+    translation is expressed in the bucket center's orthocomplement frame
+    and binned by the 4*delta mesh anchored at 0.  Returns (bucket indices
+    (n,), cell coordinates (n, d-1) int array).
 
     Cost per scale for d=2: each line's angle is computed once per family
     (`LineFamily.angles`) and each bucket centre's sine and cosine once per
@@ -873,8 +870,7 @@ def mesh_assign(family: LineFamily, delta: float, cover: DirectionCover | None =
     """
     if len(family):
         require_indexable(family.translation_radius, 4.0 * delta, delta)
-    if cover is None:
-        cover = direction_cover(family.dim, delta)
+    cover = direction_cover(family.dim, delta)
     n = len(family)
     cells = np.zeros((n, family.dim - 1), dtype=np.int64)
     width = 4.0 * delta
@@ -906,7 +902,7 @@ def mesh_assign(family: LineFamily, delta: float, cover: DirectionCover | None =
             cells[sel] = snap_floor(family.translations[sel] @ frame.T, width)
     else:
         buckets = np.empty(0, np.int64)
-    return buckets, cells, cover
+    return buckets, cells
 
 
 def mesh_codes(buckets: np.ndarray, cells: np.ndarray):
@@ -956,7 +952,7 @@ def mesh_cover_count(family: LineFamily, delta: float) -> int:
             f"scale {delta:.3e} is below the family's resolution floor "
             f"{family.resolution_floor:.3e}"
         )
-    buckets, cells, _ = mesh_assign(family, delta)
+    buckets, cells = mesh_assign(family, delta)
     packed = mesh_codes(buckets, cells)
     if packed is None:
         raise InvalidScale("mesh too fine to index at this scale")

@@ -26,10 +26,10 @@ def derive_seed(seed: int, label: str) -> int:
 SNAP = 1e-9  # snap_floor rounds quotients this close below an integer up
 
 
-def snap_floor(values, width: float, snap: float = SNAP) -> np.ndarray:
+def snap_floor(values, width: float) -> np.ndarray:
     """floor(values / width) with a snap-up for near-boundary quotients.
 
-    Quotients within `snap` of the next integer are rounded up, so points
+    Quotients within SNAP of the next integer are rounded up, so points
     that sit exactly on a cell boundary in exact arithmetic land in the
     upper cell even when floating-point division comes out a hair low
     (e.g. (2/3) / (1/27) evaluating to 17.999999999999996).
@@ -39,7 +39,7 @@ def snap_floor(values, width: float, snap: float = SNAP) -> np.ndarray:
     """
     q = np.divide(values, width, out=np.empty(np.shape(values)))
     cells = np.empty_like(q)
-    snap_into(q, cells, 1.0 - snap)
+    snap_into(q, cells)
     return cells.astype(np.int64)[()]
 
 

@@ -24,6 +24,7 @@ from .grassmann import (
     LineFamily,
     _canonical_rows,
     _gram_schmidt_frame,
+    _point_line_distances,
     _row_dots,
     first_close_pair,
     mesh_assign,
@@ -76,13 +77,6 @@ def _check_witnesses(witnesses: np.ndarray, delta: float, context: str):
         )
 
 
-def _line_distances(points: np.ndarray, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Distance from each row of `points` to the line a + R v: the exact test."""
-    rel = points - a
-    perp = rel - np.outer(rel @ v, v)
-    return np.linalg.norm(perp, axis=1)
-
-
 def _near_rows(block: np.ndarray, frame: np.ndarray, offset: np.ndarray,
                limit: float) -> np.ndarray:
     """Indices of the rows p of `block` with every |p F^T - offset| <= limit.
@@ -130,13 +124,13 @@ def _witness_on_line(family, idx, cloud, tol) -> np.ndarray:
         block = cloud.points[start : start + COUNT_BLOCK_ROWS]
         near = _near_rows(block, frame, offset, limit)
         if near.size:
-            hits = np.flatnonzero(_line_distances(block[near], v, a) <= tol)
+            hits = np.flatnonzero(_point_line_distances(block[near], v, a) <= tol)
             if hits.size:
                 return block[near[hits[0]]]
     nearest = np.inf
     for start in range(0, len(cloud), COUNT_BLOCK_ROWS):
         block = cloud.points[start : start + COUNT_BLOCK_ROWS]
-        nearest = min(nearest, float(_line_distances(block, v, a).min()))
+        nearest = min(nearest, float(_point_line_distances(block, v, a).min()))
     raise InconsistentInput(
         f"line {idx} has no cloud point within tolerance {tol:.3e} "
         f"(nearest at {nearest:.3e}); the intersection hypothesis fails"
@@ -240,7 +234,7 @@ def pigeonhole_extract(
     # double-precision rounding of points that lie exactly on their lines
     tol = max(cloud.resolution_floor, 1e-12) if tol is None else float(tol)
 
-    buckets, cells, _ = mesh_assign(family, delta)
+    buckets, cells = mesh_assign(family, delta)
     cands = _cell_representatives(buckets, cells)
     sep = THINNING_SEPARATION * delta
     best_kept: list[int] = []

@@ -3,16 +3,17 @@
 `mesh_assign` computes every line's angle and its bucket centre's sine and
 cosine at each call, and for d >= 3 builds its cover with
 `greedy_sphere_net` (one `canonical_vector` call per candidate, every
-kept-centre distance tested, the net regrown by np.vstack) and assigns
-directions with one full (n, k) |cos| matrix whose entries add the d
-products left to right; `witness_on_line` runs the exact distance test on
-every point, a million rows at a time; `pigeonhole_extract` groups lines
-by bucket with one stable sort and picks each bucket's candidates with
-np.unique over its cell rows.  The package computes the same results with
-an angle cache, array-wide canonical rows, a largest-|cos| test, a net
-banded by height and decided in rounds, blocked BLAS assignment of each
-distinct direction with a near-tie re-rank, one pass over packed
-(bucket, cell) codes and a prefiltered scan;
+kept-centre distance tested from a |cos| whose d products add left to
+right, the net regrown by np.vstack) and assigns directions with one full
+(n, k) |cos| matrix whose entries add the d products the same way;
+`witness_on_line` runs the exact distance test on every point, a million
+rows at a time; `pigeonhole_extract` groups lines by bucket with one
+stable sort and picks each bucket's candidates with np.unique over its
+cell rows.  The package computes the same results with an angle cache,
+array-wide canonical rows, a largest-|cos| test, a net banded by height,
+decided by BLAS products away from the threshold and in array rounds,
+blocked BLAS assignment of each distinct direction with a near-tie
+re-rank, one pass over packed (bucket, cell) codes and a prefiltered scan;
 test_occupancy.py, test_pigeonhole_identity.py, test_cover_identity.py,
 test_assign_identity.py and test_snap_pack_identity.py compare the two.
 `snap_floor` is the package's snapping rule as it was computed before it
@@ -59,8 +60,17 @@ def candidate_directions(d, count):
     return np.array([canonical_vector(p) for p in pts])
 
 
+def fixed_order_cos(rows, v):
+    """|cos| of v with each row, the d products added left to right."""
+    dot = rows[:, 0] * v[0]
+    for c in range(1, len(v)):
+        dot = dot + rows[:, c] * v[c]
+    return np.abs(dot)
+
+
 def greedy_sphere_net(d, delta):
-    """Greedy net testing every kept centre's distance, regrown per centre."""
+    """Greedy net testing every kept centre's distance, regrown per centre;
+    each distance comes from the |cos| whose d products add left to right."""
     sep = 0.6 * delta
     count = int(np.ceil((6.0 / delta) ** (d - 1)))
     count = min(count, 400_000)
@@ -68,7 +78,7 @@ def greedy_sphere_net(d, delta):
     kept_mat = np.empty((0, d))
     for c in cands:
         if kept_mat.shape[0]:
-            cos = np.abs(kept_mat @ c)
+            cos = fixed_order_cos(kept_mat, c)
             if np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cos * cos))).min() < sep:
                 continue
         kept_mat = np.vstack([kept_mat, c])

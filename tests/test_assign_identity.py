@@ -3,14 +3,16 @@
 `DirectionCover.assign` assigns each distinct row once and scatters its
 bucket back to the copies; `line_reference.assign` fills one full |cos|
 matrix over every row.  `_banded_net` decides each block of candidates in
-array rounds (`_greedy_in_rounds`) unless a value lies within NET_MARGIN
-of the threshold; `plain_net` below runs `_conflicts` on every candidate,
+array rounds (`_greedy_in_rounds`), taking again in fixed order each
+value that lies within NET_MARGIN of the threshold.  `plain_net` below
+tests every candidate against every kept centre by fixed-order |cos|,
 and `in_order_banded_net` decides the banded candidates one at a time, as
-the package did before the rounds.  `mesh_assign` groups each bucket's
-lines by one stable sort; `masked_cells` selects them with one mask per
-bucket.  Buckets, centres and cells must be identical.  The references
-here use no `assert`, so they behave the same under python -O, and these
-tests also run under the oldest numpy that pyproject allows.
+the package did before the rounds, a value within the margin by
+fixed-order |cos| against every kept centre.  `mesh_assign` groups each
+bucket's lines by one stable sort; `masked_cells` selects them with one
+mask per bucket.  Buckets, centres and cells must be identical.  The
+references here use no `assert`, so they behave the same under python -O,
+and these tests also run under the oldest numpy that pyproject allows.
 """
 
 from functools import lru_cache
@@ -49,23 +51,19 @@ def near_ties(centers, rows):
     return mid / np.linalg.norm(mid, axis=1)[:, None]
 
 
-def block_count(delta):
-    return -(-grassmann._net_candidate_count(3, delta) // grassmann.NET_BLOCK_ROWS)
-
-
 # ------------------------------------------------------------- references
 
 
 @lru_cache(maxsize=None)
 def plain_net(delta):
-    """The d = 3 net with `_conflicts` against every kept centre, in order."""
+    """The d = 3 net testing every kept centre by fixed-order |cos|, in order."""
     count = grassmann._net_candidate_count(3, delta)
     cands = grassmann._candidate_directions(3, count)
     limit = grassmann._largest_separated_cos(0.6 * delta)
     net = np.empty((count, 3))
     kept = 0
     for c in cands:
-        if not grassmann._conflicts(net, kept, c, limit):
+        if not (line_reference.fixed_order_cos(net[:kept], c) > limit).any():
             net[kept] = c
             kept += 1
     return net[:kept].copy()
@@ -99,7 +97,9 @@ def in_order_banded_net(delta):
         within = np.abs(block @ block.T)
         for j in np.flatnonzero(top <= high):
             t = top[j]
-            if t > high or (t >= low and grassmann._conflicts(net, kept, block[j], limit)):
+            if t > high or (t >= low and (
+                line_reference.fixed_order_cos(net[:kept], block[j]) > limit
+            ).any()):
                 continue
             net[kept] = block[j]
             depths[kept] = -z[j]
@@ -223,38 +223,20 @@ def test_banded_net_matches_in_order_banded_loop(delta):
         assert same_bits(got, plain_net(delta))
 
 
-@pytest.mark.parametrize("delta", [2.0**-k for k in range(1, 5)] + [0.3, 0.125, 0.07])
-def test_every_block_falling_back_keeps_the_centres(delta):
-    # a margin of 1 puts a value of every block inside it
-    fallback = grassmann._greedy_in_order
-    with mock.patch.object(grassmann, "NET_MARGIN", 1.0), mock.patch.object(
-        grassmann, "_greedy_in_order", side_effect=fallback
-    ) as slow, mock.patch.object(grassmann, "_greedy_in_rounds") as rounds:
-        centers = grassmann._greedy_sphere_net(3, delta)
-    assert slow.call_count == block_count(delta)
-    rounds.assert_not_called()
-    assert same_bits(centers, plain_net(delta))
-
-
 @pytest.mark.parametrize("delta", [2.0**-3, 2.0**-4, 2.0**-5])
-def test_some_blocks_falling_back_keep_the_centres(delta):
-    # a margin of 1e-5 sends some blocks, not all, to the in-order loop (at
-    # 2^-6 its plain tests take about 8 s)
-    fallback = grassmann._greedy_in_order
+def test_banded_net_with_a_wide_margin(delta):
+    # a margin of 1e-5 puts values of some blocks, not all, inside it, so
+    # fixed-order re-tests sit beside blocks decided by BLAS products alone
+    # (at 2^-6 the references take about 8 s)
+    fixed = grassmann._fixed_order_cos
     with mock.patch.object(grassmann, "NET_MARGIN", 1e-5), mock.patch.object(
-        grassmann, "_greedy_in_order", side_effect=fallback
-    ) as slow:
+        grassmann, "_fixed_order_cos", side_effect=fixed
+    ) as exact:
         centers = grassmann._greedy_sphere_net(3, delta)
         expected = in_order_banded_net(delta)
-    assert 0 < slow.call_count < block_count(delta)
+    assert exact.call_count > 0
     assert same_bits(centers, expected)
-
-
-def test_no_block_of_the_tested_scales_falls_back():
-    with mock.patch.object(grassmann, "_greedy_in_order") as slow:
-        for delta in NET_SCALES + [2.0**-6]:
-            grassmann._greedy_sphere_net(3, delta)
-    slow.assert_not_called()
+    assert same_bits(centers, plain_net(delta))
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,7 +251,8 @@ def test_rounds_keep_the_in_order_greedy_set(m, density, seed):
 
 
 def check_cells(family, delta):
-    buckets, cells, cover = grassmann.mesh_assign(family, delta)
+    buckets, cells = grassmann.mesh_assign(family, delta)
+    cover = furst.direction_cover(family.dim, delta)
     assert np.array_equal(buckets, cover.assign(family.directions))
     assert cells.dtype == np.int64
     assert np.array_equal(cells, masked_cells(family, buckets, cover, delta))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,9 +81,11 @@ class TestPointsAtDepth:
         assert np.diff(pts).min() >= 5.0**-4 - 1e-15
 
     def test_cap(self):
-        with pytest.raises(ResourceCap) as err:
-            furst.points_at_depth(furst.CantorSpec(2, (0, 1)), 10, cap=100)
-        assert "100" in str(err.value)
+        with mock.patch.object(furst.cantor, "DEFAULT_POINT_CAP", 100):
+            with pytest.raises(ResourceCap) as err:
+                furst.points_at_depth(furst.CantorSpec(2, (0, 1)), 10)
+            furst.points_at_depth(furst.CantorSpec(2, (0, 1)), 6)  # 64 points
+        assert "over the cap 100" in str(err.value)
 
 
 class TestScaledCountCheck:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from furst import cli, verifier
 from furst.cli import main
 from furst.util import write_csv
 
@@ -60,6 +61,8 @@ UNSOUND_PACKING_CONFIG = dict(
     schedule={"mode": "demo", "etas": [1.0, 1 / 16, 2.0**-10, 2.0**-24, 2.0**-52]},
 )
 
+UNSEPARATED_CASES = ["mark-off-line", "duplicate-line", "close-marks"]
+
 REMOVED_FLAGS = [
     (cmd, flag)
     for cmds, flags in (
@@ -75,6 +78,52 @@ REMOVED_FLAGS = [
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def source_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def packing_states(tmp_path):
+    """(parsed states.json, out) of the d = 2 demo run with etas 1, 1/16, 2^-10."""
+    tmp_path.mkdir(exist_ok=True)
+    cfg = dict(PACKING_CONFIG)
+    cfg["schedule"] = {"mode": "demo", "etas": [1.0, 1 / 16, 2.0**-10]}
+    out = tmp_path / "p"
+    argv = ["--config", write_config(tmp_path / "p.json", cfg), "--out", str(out)]
+    assert main(["construct-packing"] + argv) == 0
+    payload = json.loads((out / "states.json").read_text())
+    final = payload["states"][-1]
+    assert len(final["lines"]) == 16 and len(final["marks"][0]) == 3
+    return payload, out
+
+
+def unseparate(final, case):
+    """Edit a parsed state so that check_separations finds `case`; the message."""
+    if case == "mark-off-line":
+        final["marks"][0][1] = [0.3, 0.4]
+        return "marks strayed from line 0"
+    if case == "duplicate-line":
+        final["lines"][1] = final["lines"][0]
+        return "lines 0,1 at distance"
+    final["marks"][0][1] = final["marks"][0][0]  # two marks closer than eta
+    return "marks on line 0 at gap 0.000e+00 < eta"
+
+
+def assert_states_refused(payload, out, capsys, message):
+    """With `payload` as states.json, estimate and verify exit 1, naming state 2."""
+    (out / "states.json").write_text(json.dumps(payload))
+    for command in ("estimate", "verify"):
+        assert main([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"states.json: state 2 {message}" in err, err
+        assert "Traceback" not in err
+    assert not (out / "packing_exponents.csv").exists()
+    assert not (out / "certificates.json").exists()
 
 
 def construct_box(tmp_path, name="run", **overrides):
@@ -179,15 +228,10 @@ class TestConstruct:
     def test_unsound_packing_exits_3_under_optimize(self, tmp_path):
         # soundness checks must not rely on assert, which -O strips
         cfg_path = write_config(tmp_path / "u.json", UNSOUND_PACKING_CONFIG)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "furst.cli", "construct-packing",
              "--config", cfg_path, "--out", str(tmp_path / "u")],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=source_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -373,14 +417,8 @@ class TestEstimateVerifyReport:
         ("last line deleted", "has 16 marks lists for 15 lines"),
     ])
     def test_malformed_states_json_is_user_error(self, tmp_path, capsys, case, message):
-        cfg = dict(PACKING_CONFIG)
-        cfg["schedule"] = {"mode": "demo", "etas": [1.0, 1 / 16, 2.0**-10]}
-        out = tmp_path / "p"
-        argv = ["--config", write_config(tmp_path / "p.json", cfg), "--out", str(out)]
-        assert main(["construct-packing"] + argv) == 0
-        payload = json.loads((out / "states.json").read_text())
+        payload, out = packing_states(tmp_path)
         final = payload["states"][-1]
-        assert len(final["lines"]) == 16 and len(final["marks"][0]) == 3
         if case == "ragged marks":
             final["marks"][0][1] = final["marks"][0][1][:1]
         elif case == "empty marks":
@@ -393,13 +431,57 @@ class TestEstimateVerifyReport:
             del final["marks"][-1]
         else:
             del final["lines"][-1]
-        (out / "states.json").write_text(json.dumps(payload))
-        for command in ("estimate", "verify"):
-            assert main([command, "--out", str(out)]) == 1
-            err = capsys.readouterr().err
-            assert f"states.json: state 2 {message}" in err, err
-            assert "Traceback" not in err
-        assert not (out / "packing_exponents.csv").exists()
+        assert_states_refused(payload, out, capsys, message)
+
+    @pytest.mark.parametrize("case", UNSEPARATED_CASES)
+    def test_unseparated_states_json_is_user_error(self, tmp_path, capsys, case):
+        # each kind of violation check_separations finds, in a hand-edited
+        # final state: the input is at fault, so exit 1, not 3
+        payload, out = packing_states(tmp_path)
+        message = unseparate(payload["states"][-1], case)
+        assert_states_refused(payload, out, capsys, f"fails its separation checks: {message}")
+
+    def test_unseparated_states_json_exits_1_under_optimize(self, tmp_path):
+        # the separation checks of read_states must not rely on assert
+        outs = []
+        for case in UNSEPARATED_CASES:
+            payload, out = packing_states(tmp_path / case)
+            unseparate(payload["states"][-1], case)
+            (out / "states.json").write_text(json.dumps(payload))
+            outs.append(str(out))
+        script = ("import sys; from furst.cli import main; print(*(main([c, '--out', o]) "
+                  "for o in sys.argv[1:] for c in ('estimate', 'verify')))")
+        proc = subprocess.run([sys.executable, "-O", "-c", script, *outs], env=source_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["1"] * 6, proc.stderr
+        assert proc.stderr.count("fails its separation checks") == 6
+        assert "Traceback" not in proc.stderr
+
+    def test_verify_unsound_certificate_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a measured count of 0 leaves every pigeonhole bound above 3^d times it
+        _, out = construct_box(tmp_path)
+        monkeypatch.setattr(cli, "grid_counts", lambda cloud, scales: [0] * len(scales))
+        assert main(["verify", "--out", str(out), "--scales", "0.0625,0.015625"]) == 3
+        err = capsys.readouterr().err
+        assert "error: a certificate exceeded the measured count" in err, err
+        assert "Traceback" not in err
+        certs = json.loads((out / "certificates.json").read_text())
+        assert certs["all_sound"] is False
+        assert len(certs["certificates"]) == 3
+        assert not any(c["sound"] for c in certs["certificates"])
+        assert json.loads((out / "verify_summary.json").read_text())["all_sound"] is False
+
+    def test_verify_witnesses_closer_than_delta_exit_3(self, tmp_path, capsys, monkeypatch):
+        # every kept line given the same witness: the exact pairwise check
+        # of the witnesses refuses the certificate before it is written
+        _, out = construct_box(tmp_path)
+        monkeypatch.setattr(
+            verifier, "_witness_on_line", lambda family, idx, cloud, tol: cloud.points[0]
+        )
+        assert main(["verify", "--out", str(out), "--scales", "0.0625,0.0625"]) == 3
+        err = capsys.readouterr().err
+        assert "pigeonhole extraction: witness pair at distance 0.000000e+00 < delta" in err, err
+        assert "Traceback" not in err
         assert not (out / "certificates.json").exists()
 
     def test_verify_empty_family_warns_exit_zero(self, tmp_path, capsys):

@@ -1,17 +1,24 @@
 """d >= 3 direction covers equal their plain forms, bit for bit.
 
 The package canonicalises all candidate directions at once, tests each
-d = 3 candidate only against the kept centres near its height (with the
-plain largest-|cos| test as the fallback near the threshold), and assigns
-directions to centres in row blocks, re-ranking near ties by fixed-order
-dot products; `line_reference` holds the forms that canonicalise one row
-at a time, test every kept centre, regrow the net with np.vstack and
-assign with one full fixed-order |cos| matrix.  Candidates, centres and
-buckets must be identical.  These tests also run under the oldest numpy
-that pyproject allows, and under python -O.
+d = 3 candidate only against the kept centres near its height, decides by
+BLAS products every |cos| that lies more than NET_MARGIN from the
+threshold and takes the others again as fixed-order dot products, and
+assigns directions to centres in row blocks, re-ranking near ties by
+fixed-order dot products; `line_reference` holds the forms that
+canonicalise one row at a time, test every kept centre by fixed-order
+|cos|, regrow the net with np.vstack and assign with one full fixed-order
+|cos| matrix.  Candidates, centres and buckets must be identical.  These
+tests also run under the oldest numpy that pyproject allows, and under
+python -O.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -156,14 +163,51 @@ def test_assign_moves_only_near_ties(d, delta):
 
 @pytest.mark.parametrize("delta", NET_SCALES)
 def test_banded_net_with_every_decision_exact(delta):
-    # a margin of 1 leaves every candidate to the plain test
-    conflicts = grassmann._conflicts
-    with mock.patch.object(grassmann, "NET_MARGIN", 1.0), mock.patch.object(
-        grassmann, "_conflicts", side_effect=conflicts
-    ) as plain:
+    # a margin of 1 takes every |cos| again in fixed order
+    with mock.patch.object(grassmann, "NET_MARGIN", 1.0):
         centers = grassmann._greedy_sphere_net(3, delta)
-    assert plain.call_count == candidate_count(3, delta)
     assert same_bits(centers, reference_centers(3, delta))
+
+
+@pytest.mark.parametrize("d, delta", [(4, 0.5), (4, 0.25), (5, 0.5)])
+def test_net_loop_with_every_decision_exact(d, delta):
+    with mock.patch.object(grassmann, "NET_MARGIN", 1.0):
+        centers = grassmann._greedy_sphere_net(d, delta)
+    assert same_bits(centers, reference_centers(d, delta))
+
+
+# d = 3 scales at which some |cos| lies within NET_MARGIN of the threshold
+# (2 of 400 log-uniform scales in [0.02, 1]): centre count and the leading
+# hex digits of the sha256 of the centres' bytes
+MARGIN_SCALES = {
+    0.02164590003290307: (19_122, "842e39c4782253fc"),
+    0.02914395683490181: (10_569, "2d8042eca8b70792"),
+}
+CENTRES_DIGEST = """
+import hashlib, sys
+from furst import grassmann
+c = grassmann._greedy_sphere_net(3, float(sys.argv[1]))
+print(len(c), hashlib.sha256(c.tobytes()).hexdigest()[:16])
+"""
+
+
+@pytest.mark.parametrize("delta", sorted(MARGIN_SCALES))
+def test_centres_at_scales_with_values_in_the_margin(delta):
+    fixed = grassmann._fixed_order_cos
+    with mock.patch.object(grassmann, "_fixed_order_cos", side_effect=fixed) as exact:
+        centers = grassmann._greedy_sphere_net(3, delta)
+    assert exact.call_count > 0  # the in-margin values are reached
+    digest = hashlib.sha256(centers.tobytes()).hexdigest()[:16]
+    assert (len(centers), digest) == MARGIN_SCALES[delta]
+    # the same bits with one BLAS thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", CENTRES_DIGEST, repr(delta)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(len(centers)), digest]
 
 
 @pytest.mark.parametrize("delta", NET_SCALES + [2.0**-5])
@@ -234,7 +278,7 @@ def test_mesh_assign_matches_reference_in_3d():
     trans = raw - np.einsum("ij,ij->i", raw, dirs)[:, None] * dirs
     family = furst.LineFamily(dirs, trans, 1e-9)
     for delta in (0.5, 0.25, 0.07):
-        buckets, cells, _ = grassmann.mesh_assign(family, delta)
+        buckets, cells = grassmann.mesh_assign(family, delta)
         expected_buckets, expected_cells = line_reference.mesh_assign(family, delta)
         assert np.array_equal(buckets, expected_buckets)
         assert np.array_equal(cells, expected_cells)

@@ -199,7 +199,7 @@ def test_mesh_assign_matches_reference_planar(case, block_rows):
     family = planar_family(angles, offsets)
     expected_buckets, expected_cells = line_reference.mesh_assign(family, delta)
     with mock.patch.object(grassmann, "COUNT_BLOCK_ROWS", block_rows):
-        buckets, cells, _ = grassmann.mesh_assign(family, delta)
+        buckets, cells = grassmann.mesh_assign(family, delta)
     assert buckets.dtype == expected_buckets.dtype and cells.dtype == expected_cells.dtype
     assert np.array_equal(buckets, expected_buckets)
     assert np.array_equal(cells, expected_cells)
@@ -230,7 +230,7 @@ def test_mesh_assign_matches_reference_at_snap_thresholds(delta):
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     family = planar_family(np.tile(theta, 2), np.concatenate([lo, hi]).view(float))
     expected_buckets, expected_cells = line_reference.mesh_assign(family, delta)
-    buckets, cells, _ = grassmann.mesh_assign(family, delta)
+    buckets, cells = grassmann.mesh_assign(family, delta)
     assert np.array_equal(buckets, expected_buckets)
     assert np.array_equal(cells, expected_cells)
 

@@ -141,7 +141,7 @@ def test_code_range_beyond_2_62_still_extracts(d):
                           [1e18, 0.0, 0.0], [0.0, -1e18, 0.0]])
     near = len(dirs) - 2
     family, cloud = family_and_cloud(dirs, trans, np.full(len(dirs), 0.2), slice(0, near))
-    buckets, cells, _ = grassmann.mesh_assign(family, delta)
+    buckets, cells = grassmann.mesh_assign(family, delta)
     assert grassmann.mesh_codes(buckets, cells) is None
     cert = assert_same_certificate(family, cloud, delta)
     assert cert.bound == near and sorted(cert.line_indices) == list(range(near))
@@ -154,7 +154,7 @@ def test_sparse_codes_take_the_sort_branch():
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     trans = np.column_stack([-np.sin(angles), np.cos(angles)]) * offsets[:, None]
     family, cloud = family_and_cloud(dirs, trans, rng.uniform(-0.3, 0.3, 300), slice(None))
-    buckets, cells, _ = grassmann.mesh_assign(family, 0.01)
+    buckets, cells = grassmann.mesh_assign(family, 0.01)
     codes, span = grassmann.mesh_codes(buckets, cells)
     assert not boxcount.fits_table(len(codes), span)
     assert_same_certificate(family, cloud, 0.01)

@@ -247,7 +247,7 @@ def test_mesh_assign_with_signed_zero_translations(delta, block_rows):
     for fam in (family, more):
         expected_buckets, expected_cells = line_reference.mesh_assign(fam, delta)
         with mock.patch.object(grassmann, "COUNT_BLOCK_ROWS", block_rows):
-            buckets, cells, _ = grassmann.mesh_assign(fam, delta)
+            buckets, cells = grassmann.mesh_assign(fam, delta)
         expect(same_bits(buckets, expected_buckets), "buckets")
         expect(same_bits(cells, expected_cells), "cells")
 
