@@ -17,7 +17,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .boxcount import COUNT_BLOCK_ROWS, _squared_norms, count_distinct
+from .boxcount import (
+    COUNT_BLOCK_ROWS,
+    CodeSet,
+    _float_weights,
+    _pack_cells,
+    _squared_norms,
+    count_distinct,
+)
 from .errors import (
     InvalidParameter,
     InvalidScale,
@@ -25,14 +32,14 @@ from .errors import (
     StaleResolution,
     UnsupportedScale,
 )
-from .util import derive_seed, require_indexable, snap_floor, snap_into
+from .util import derive_seed, require_indexable, snap_into
 
 ORTHO_TOL = 1e-12
 ASSIGN_BLOCK_ROWS = 64  # rows compared with every cover centre per block
 NET_CANDIDATE_CAP = 400_000  # most candidates a d >= 3 greedy net may test
-# most buckets of a planar cover: its centres and angles take 24 bytes per
-# bucket and mesh_assign's sine and cosine tables 16 more, so a cover at
-# 2^-24 (52.7 M buckets) peaks near 2 GB; 2^-25 would need 105 M
+# most buckets of a planar cover: its centres, angles and the angles' sines
+# and cosines take 40 bytes per bucket, so a cover at 2^-24 (52.7 M
+# buckets) peaks near 2 GB; 2^-25 would need 105 M
 PLANAR_BUCKET_CAP = 2**26
 NET_BLOCK_ROWS = 128  # d = 3 candidates tested against their bands per block
 NET_MARGIN = 1e-12  # a BLAS |cos| this close to the limit is taken again in fixed order
@@ -133,7 +140,11 @@ def projection_distance(u, v) -> float:
 
 
 def metric_d1(line_a: AffineLine, line_b: AffineLine) -> float:
-    """Distance on line space: the one-row case of `line_distances`."""
+    """Distance on line space: the one-row case of `line_distances`.
+
+    A line's distance to itself is not 0 but up to (2d + 5) 2^-53, the
+    rounding of u . u (see `line_distances`).
+    """
     return float(line_distances(
         line_a.direction.vector[None], line_a.translation[None],
         line_b.direction.vector[None], line_b.translation[None],
@@ -182,6 +193,14 @@ def line_distances(dirs_a, trans_a, dirs_b, trans_b) -> np.ndarray:
     n others.  The distance is the projection-norm term
     (`_projection_distances`) plus the Euclidean distance of the
     translations, each dot product a stacked one (`_row_dots`).
+
+    A line's distance to itself is not 0.  The projection term of u with
+    itself is |u - fl(u . u) u|, which keeps the rounding of u . u: for a
+    unit row as `canonical_vector` makes it, |u|^2 lies within (d + 4)
+    2^-53 of 1 and the dot adds d 2^-53 more, so d(l, l) <= (2d + 5) 2^-53
+    (1.0e-15 in d = 2, 1.2e-15 in d = 3).  Over 100,000 random rows about
+    55% are nonzero, up to 5.6e-16 in d = 2 and 7.0e-16 in d = 3; no
+    separation floor is that small.
 
     Cost: O(n * d) in about two dozen array operations and no Python work
     per row; temporaries are a few (n, d) arrays.
@@ -345,7 +364,9 @@ class DirectionCover:
     """A realized delta-cover of direction space.
 
     For d=2 the cover is the uniform partition of the angle interval
-    [0, pi) into `width`-wide buckets; centers are stored as unit vectors.
+    [0, pi) into `width`-wide buckets; centers are stored as unit vectors,
+    and the sine and cosine of each bucket's centre angle (b + 0.5) *
+    width once, so the frame of bucket b is (-sines[b], cosines[b]).
     For d >= 3 the centers come from a greedy separated net and assignment
     is by nearest center in the projection metric.
     """
@@ -354,6 +375,8 @@ class DirectionCover:
     delta: float
     centers: np.ndarray  # (k, d) canonical unit vectors
     angle_width: float | None = None  # set for the planar fast path
+    sines: np.ndarray | None = None  # planar: (k,) sines of the centre angles
+    cosines: np.ndarray | None = None  # planar: (k,) cosines of the centre angles
     _frames: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -459,16 +482,20 @@ def direction_cover(d: int, delta: float) -> DirectionCover:
         raise InvalidParameter("ambient dimension must be >= 2")
     if d == 2:
         if delta >= 1.0:
-            centers = np.array([[1.0, 0.0]])
-            return DirectionCover(2, delta, centers, angle_width=float(np.pi))
-        width = min(float(np.arcsin(delta)), np.pi / 2)
-        n = _planar_bucket_count(width, delta)
+            width, n = float(np.pi), 1
+        else:
+            width = min(float(np.arcsin(delta)), np.pi / 2)
+            n = _planar_bucket_count(width, delta)
         angles = (np.arange(n) + 0.5) * width
-        centers = np.column_stack([np.cos(angles), np.sin(angles)])
-        flip = (centers[:, 0] < 0) | ((centers[:, 0] == 0) & (centers[:, 1] < 0))
-        centers[flip] *= -1.0
-        centers += 0.0
-        return DirectionCover(2, delta, centers, angle_width=width)
+        cos, sin = np.cos(angles), np.sin(angles)
+        if delta >= 1.0:
+            centers = np.array([[1.0, 0.0]])
+        else:
+            centers = np.column_stack([cos, sin])
+            flip = (centers[:, 0] < 0) | ((centers[:, 0] == 0) & (centers[:, 1] < 0))
+            centers[flip] *= -1.0
+            centers += 0.0
+        return DirectionCover(2, delta, centers, width, sin, cos)
     return DirectionCover(d, delta, _greedy_sphere_net(d, delta))
 
 
@@ -844,65 +871,167 @@ class LineFamily:
         )))
 
 
-def mesh_assign(family: LineFamily, delta: float):
+def mesh_assign(family: LineFamily, delta: float, sink=None):
     """Assign every line a (direction bucket, translation mesh cell) pair.
 
     The buckets are those of `direction_cover(family.dim, delta)`.  The
     translation is expressed in the bucket center's orthocomplement frame
-    and binned by the 4*delta mesh anchored at 0.  Returns (bucket indices
-    (n,), cell coordinates (n, d-1) int array).
+    and binned by the 4*delta mesh anchored at 0 (`_mesh_rows`).  Returns
+    (bucket indices (n,), cell coordinates (n, d-1) int array).
+
+    With a `sink`, no (n,) bucket, cell or code array is made.  table =
+    sink(n, lo, spans) is made once before the pass from the digits'
+    offsets and spans (`_mesh_layout`), and each block's packed codes go to
+    table.add(codes, lines) in the loop that computes the block; lines
+    indexes the block's lines in the family (a slice in the plane, an index
+    array in d >= 3), and a code's lines come in ascending order: the plane's
+    blocks follow the family, and in d >= 3 all of a bucket's lines come in
+    one block.  A line's code is (bucket - first) * S^(d-1) + sum_j
+    (cell_j + H) * S^(d-2-j), S = 2H + 1, so ascending codes order lines
+    by bucket and then by cell coordinates.  The codes are packed by
+    `boxcount._pack_cells`, the grid counts' one pack rule: a float product
+    while `boxcount._float_weights` admits the layout, the int64 `_pack`
+    past it.  Returns (table, None); or, where the layout's range reaches
+    2^62, (None, (buckets, cells)) as without a sink.
 
     Cost per scale for d=2: each line's angle is computed once per family
     (`LineFamily.angles`) and each bucket centre's sine and cosine once per
     cover, so a scale costs per line its bucket, two table reads, two
-    products, a subtraction, a division and the in-place snap
-    (`snap_into`), COUNT_BLOCK_ROWS lines at a time: about 50 ms over
-    box-large's 4.1 M lines (2-vCPU VM).  For d>=3 every distinct
-    direction is compared with every cover centre (`DirectionCover.assign`):
-    O(m * k) for m distinct directions and k centres, plus an O(n log n)
-    sort.  One more stable sort groups the lines by bucket, and each
-    bucket's translations are projected onto its frame in family order.
+    products, a subtraction, a division, the in-place snap (`snap_into`)
+    and the pack, COUNT_BLOCK_ROWS lines at a time.  Over box-large's 4.1 M
+    lines that is about 55 ms a scale with `mesh_cover_count`'s sink, where
+    the (n,) arrays and `mesh_codes`' passes took about 90 (one BLAS
+    thread, 2-vCPU VM, best of 7 at each of 2^-5 ... 2^-13).  For d>=3 every
+    distinct direction is compared with every cover centre
+    (`DirectionCover.assign`): O(m * k) for m distinct directions and k
+    centres, plus an O(n log n) sort.  One more stable sort groups the
+    lines by bucket, and each bucket's translations are projected onto its
+    frame in family order and packed.
 
     A cell coordinate is a translation's coordinate in an orthonormal
     frame, at most its norm, so a scale at which the family's cached
     `translation_radius` over 4*delta reaches 2^61 is refused before any
     work (`require_indexable`): no cell index wraps.
     """
-    if len(family):
+    n, d = family.directions.shape
+    if n:
         require_indexable(family.translation_radius, 4.0 * delta, delta)
-    cover = direction_cover(family.dim, delta)
-    n = len(family)
-    cells = np.zeros((n, family.dim - 1), dtype=np.int64)
+    cover = direction_cover(d, delta)
     width = 4.0 * delta
-    if n and cover.angle_width is not None:
-        # planar fast path: the frame of an angle-phi center is (-sin, cos)
-        phi = (np.arange(len(cover)) + 0.5) * cover.angle_width
-        sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-        theta, trans = family.angles, family.translations
+    # d >= 3: every line's bucket, assigned before the pass
+    assigned = cover.assign(family.directions) if n and cover.angle_width is None else None
+    layout = _mesh_layout(family, cover, assigned, width) if sink is not None and n else None
+    if layout is None:
         buckets = np.empty(n, dtype=np.int64)
-        coord = np.empty(min(n, COUNT_BLOCK_ROWS))
-        snapped = np.empty_like(coord)
+        cells = np.zeros((n, d - 1), dtype=np.int64)
+        for lines, rows in _mesh_rows(family, cover, assigned, width):
+            buckets[lines] = rows[:, 0]
+            cells[lines] = rows[:, 1:]
+        return (buckets, cells) if sink is None else (None, (buckets, cells))
+    lo, spans = layout
+    weights = _float_weights(lo, spans)
+    table = sink(n, lo, spans)
+    out = np.empty(min(n, COUNT_BLOCK_ROWS))
+    for lines, rows in _mesh_rows(family, cover, assigned, width):
+        if out.size < rows.shape[0]:  # a d >= 3 bucket of more lines
+            out = np.empty(rows.shape[0])
+        table.add(_pack_cells(rows, lo, spans, weights, out[: rows.shape[0]]), lines)
+    return table, None
+
+
+def _mesh_rows(family: LineFamily, cover: DirectionCover, buckets, width: float):
+    """Yield (lines, rows): each block's lines and their float (m, d) mesh rows.
+
+    A row is (bucket, cell coordinates), the cells snapped from the
+    translation's coordinates in the bucket's frame over `width`
+    (`snap_into`).  In the plane the blocks are COUNT_BLOCK_ROWS lines in
+    family order, `lines` a slice, and the rows one reused buffer: a block's
+    rows are valid until the next is asked for.  In d >= 3 `buckets` holds
+    every line's bucket, and each block is one bucket's lines in family
+    order, `lines` an index array.
+    """
+    n, d = family.directions.shape
+    if not n:
+        return
+    if cover.angle_width is not None:
+        theta, trans = family.angles, family.translations
+        # column by column in memory: the snap writes one contiguous column
+        buffer = np.empty((2, min(n, COUNT_BLOCK_ROWS)))
+        coord = np.empty(buffer.shape[1])
         for start in range(0, n, COUNT_BLOCK_ROWS):
-            rows = slice(start, start + COUNT_BLOCK_ROWS)
-            b = buckets[rows] = cover.angle_buckets(theta[rows])
+            lines = slice(start, start + COUNT_BLOCK_ROWS)
+            b = cover.angle_buckets(theta[lines])
+            rows = buffer[:, : b.size].T
             # t1 cos - t0 sin has the bits of (-t0) sin + t1 cos, signed zeros too
-            c = np.multiply(trans[rows, 1], cos_phi[b], out=coord[: b.size])
-            c -= trans[rows, 0] * sin_phi[b]
+            c = np.multiply(trans[lines, 1], cover.cosines[b], out=coord[: b.size])
+            c -= trans[lines, 0] * cover.sines[b]
             c /= width
-            snap_into(c, snapped[: b.size])
-            cells[rows, 0] = snapped[: b.size]
-    elif n:
-        buckets = cover.assign(family.directions)
-        # a stable sort lists each bucket's lines in family order, the rows
-        # a mask of the bucket would select
-        order = np.argsort(buckets, kind="stable")
-        ends = np.flatnonzero(np.diff(buckets[order])) + 1
-        for sel in np.split(order, ends):
-            frame = cover.frame(int(buckets[sel[0]]))
-            cells[sel] = snap_floor(family.translations[sel] @ frame.T, width)
+            rows[:, 0] = b
+            snap_into(c, rows[:, 1])
+            yield lines, rows
+        return
+    # a stable sort lists each bucket's lines in family order, the rows a
+    # mask of the bucket would select
+    order = np.argsort(buckets, kind="stable")
+    ends = np.flatnonzero(np.diff(buckets[order])) + 1
+    for lines in np.split(order, ends):
+        bucket = int(buckets[lines[0]])
+        q = family.translations[lines] @ cover.frame(bucket).T
+        q /= width
+        rows = np.empty((lines.size, d))
+        rows[:, 0] = bucket
+        snap_into(q, rows[:, 1:])
+        yield lines, rows
+
+
+def _mesh_layout(family: LineFamily, cover: DirectionCover, buckets, width: float):
+    """(lo, spans) of the packed mesh codes, or None when their range reaches 2^62.
+
+    The digits of a code are (bucket, cell_0, ..., cell_(d-2)), the bucket
+    in [first, last] and every cell in [-H, H], H = floor(R' / width) + 1
+    with R' = R (1 + 2^-40) and R = `translation_radius`: lo = (first, -H,
+    ..., -H) and spans = (last - first + 1, S, ..., S), S = 2H + 1.  Every
+    digit is offset by a bound that holds for every line, so ascending
+    codes order lines as their (bucket, cells) tuples.
+
+    The buckets.  In d >= 3 first and last are the least and greatest of
+    `buckets`.  In the plane they are the buckets of the family's least
+    and greatest angle: `DirectionCover.angle_buckets` is monotone (a
+    division by the positive width, the truncation of a nonnegative
+    quotient and a min), so every line's bucket lies between them.
+
+    Why every cell lies in [-H, H].  Let u = 2^-53.  R is the root of the
+    largest computed squared norm, so every translation t has |t| <= R (1
+    + (d + 2) u).  Every frame row f has |f| <= 1 + 4 d u: a Gram-Schmidt
+    row is divided by its own norm, and the planar (-sin, cos) comes from
+    np.sin / np.cos, accurate to a few ulps.  A coordinate t . f computed
+    in any order (BLAS, or two products and a subtraction) lies within d u
+    |t| |f| of the exact one, which is at most |t| |f|; an underflowed
+    product adds under d 2^-1074, nothing next to the width.  Dividing by
+    width rounds once more.  So each quotient q has |q| <= (R / width)(1 +
+    (6 d + 4) u), below X = fl(fl(R') / width) for any d < 2^10 (the
+    covers stop at d = 8).  Then floor(q) lies in [-floor(X) - 1, floor(X)],
+    and the snap-up adds at most 1 to it: the cell is in [-H, H].  A
+    quotient with |q| < 1 gives a cell in [-1, 1], inside since H >= 1.
+
+    The range test is the one `mesh_codes` makes, on the bounds:
+    fl(fl((last + 1) * S^(d-2)) * fl(S)) >= 2^62.  Each factor `mesh_codes`
+    tests is at most its bound and float products round monotonically, so
+    wherever a layout is returned `mesh_codes` would give codes.
+    """
+    d = family.dim
+    if buckets is None:
+        theta = family.angles
+        first, last = (int(b) for b in cover.angle_buckets(np.array([theta.min(), theta.max()])))
     else:
-        buckets = np.empty(0, np.int64)
-    return buckets, cells
+        first, last = int(buckets.min()), int(buckets.max())
+    half = math.floor(family.translation_radius * (1.0 + 2.0**-40) / width) + 1
+    side = 2 * half + 1
+    if float((last + 1) * side ** (d - 2)) * float(side) >= 2**62:
+        return None
+    lo = np.array([first] + [-half] * (d - 1), dtype=np.int64)
+    spans = np.array([last - first + 1] + [side] * (d - 1), dtype=np.int64)
+    return lo, spans
 
 
 def mesh_codes(buckets: np.ndarray, cells: np.ndarray):
@@ -912,7 +1041,9 @@ def mesh_codes(buckets: np.ndarray, cells: np.ndarray):
     the cell coordinates, each offset by its minimum, as the next ones, so
     ascending codes order lines by bucket and then by cell in lexicographic
     order.  Returns (codes, span) with every code in [0, span), or None when
-    the code range would reach 2**62.
+    the code range would reach 2**62.  `mesh_cover_count` packs them only
+    where its `_mesh_layout` bound reaches 2**62, to keep its exact-range
+    test there.
     """
     codes = buckets
     for c in range(cells.shape[1]):
@@ -930,17 +1061,31 @@ def mesh_codes(buckets: np.ndarray, cells: np.ndarray):
     return codes, int(codes.max()) + 1
 
 
+class _MeshCount:
+    """`mesh_assign` sink that keeps the distinct codes in a `CodeSet`."""
+
+    def __init__(self, n: int, lo: np.ndarray, spans: np.ndarray):
+        self.seen = CodeSet(n, math.prod(int(s) for s in spans))
+
+    def add(self, codes: np.ndarray, lines) -> None:
+        self.seen.add(codes)
+
+
 def mesh_cover_count(family: LineFamily, delta: float) -> int:
     """Number of (direction bucket) x (4*delta mesh cell) products hit.
 
     This is the covering-number proxy for line families; its log-log slope
     against 1/delta estimates the family's box dimension.
 
-    Cost per scale: `mesh_assign` plus `boxcount.count_distinct` over one
-    packed (bucket, cell) code per line (`mesh_codes`).  While the code
-    range is at most 8 * n the occupied products are marked in a table of
-    at most 8 * n bytes, O(n + range); above that the codes are sorted,
-    O(n log n).
+    Cost per scale: `mesh_assign`, whose packed (bucket, cell) codes go
+    block by block into a `boxcount.CodeSet`, about 55 ms over box-large's
+    4.1 M lines (90 ms through (n,) arrays and `mesh_codes`).  While the
+    layout's range is at most 8 * n the occupied products are marked in a
+    table of at most 8 * n bytes, O(n + range); above that the codes are
+    sorted, O(n log n).  On box-large the table grows to 8 MB at 2^-13.
+    Where the layout's range reaches 2^62 the lines' buckets and cells are
+    packed over their exact ranges (`mesh_codes`), and a range that
+    reaches 2^62 there too raises InvalidScale.
     """
     if not (0.0 < delta <= 1.0):
         raise InvalidScale(f"mesh scale must lie in (0, 1], got {delta}")
@@ -952,8 +1097,10 @@ def mesh_cover_count(family: LineFamily, delta: float) -> int:
             f"scale {delta:.3e} is below the family's resolution floor "
             f"{family.resolution_floor:.3e}"
         )
-    buckets, cells = mesh_assign(family, delta)
-    packed = mesh_codes(buckets, cells)
+    table, arrays = mesh_assign(family, delta, _MeshCount)
+    if table is not None:
+        return table.seen.count()
+    packed = mesh_codes(*arrays)
     if packed is None:
         raise InvalidScale("mesh too fine to index at this scale")
     codes, span = packed

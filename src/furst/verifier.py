@@ -28,7 +28,6 @@ from .grassmann import (
     _row_dots,
     first_close_pair,
     mesh_assign,
-    mesh_codes,
 )
 from .util import min_pairwise_distance, snap_floor
 
@@ -152,35 +151,79 @@ def _greedy_thin(points: np.ndarray, order: np.ndarray, sep: float) -> list[int]
     return kept
 
 
-def _cell_representatives(buckets: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Lowest line index of every occupied (bucket, cell) product.
+class _LowestLines:
+    """`mesh_assign` sink: the lowest line index of every occupied code.
 
-    Returned in ascending (bucket, cell coordinates) order, the order of the
-    packed codes of `grassmann.mesh_codes`.  When the code range passes
-    `boxcount.fits_table` each code's lowest line index is recorded in a
-    table of span int64 entries, COUNT_BLOCK_ROWS lines at a time, O(n +
-    span); otherwise (also when the codes would reach 2**62) one stable
-    sort orders the lines by bucket and cell coordinates and the first line
-    of each run is kept, O(n log n).
+    When the layout's range passes `boxcount.fits_table` each code's lowest
+    line index is kept in a table of span int64 entries, O(n + span).  A
+    code's lines reach the sink in ascending order (`mesh_assign`), so its
+    lowest line is the first to arrive: a block reads its codes' entries,
+    and only the codes still unset are looked at again, the first line of
+    each taken with one np.unique.  Otherwise every line's code is kept and
+    one stable sort finds the first line of each code, O(n log n).
     """
-    n = len(buckets)
-    packed = mesh_codes(buckets, cells)
-    if packed is not None and fits_table(n, packed[1]):
-        codes, span = packed
-        first = np.full(span, n, dtype=np.int64)
-        for start in range(0, n, COUNT_BLOCK_ROWS):
-            stop = min(n, start + COUNT_BLOCK_ROWS)
-            np.minimum.at(first, codes[start:stop], np.arange(start, stop))
-        return first[first < n]
+
+    def __init__(self, n: int, lo: np.ndarray, spans: np.ndarray):
+        span = math.prod(int(s) for s in spans)
+        self.n = n
+        self.first_bucket = int(lo[0])
+        self.per_bucket = span // int(spans[0])
+        self.first = np.full(span, n, dtype=np.int64) if fits_table(n, span) else None
+        self.codes = None if self.first is not None else np.empty(n, dtype=np.int64)
+
+    def add(self, codes: np.ndarray, lines) -> None:
+        if self.first is None:
+            self.codes[lines] = codes
+            return
+        fresh = np.flatnonzero(self.first[codes] == self.n)
+        if fresh.size:
+            unset, at = np.unique(codes[fresh], return_index=True)
+            at = fresh[at]
+            self.first[unset] = lines.start + at if isinstance(lines, slice) else lines[at]
+
+    def representatives(self):
+        """(lines, buckets) of the occupied codes' lowest lines, codes ascending."""
+        if self.first is not None:
+            codes = np.flatnonzero(self.first < self.n)
+            return self.first[codes], self._buckets(codes)
+        order = np.argsort(self.codes, kind="stable")
+        codes = self.codes[order]
+        first = np.empty(self.n, dtype=bool)
+        first[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        return order[first], self._buckets(codes[first])
+
+    def _buckets(self, codes: np.ndarray) -> np.ndarray:
+        return codes // self.per_bucket + self.first_bucket
+
+
+def _cell_representatives(family: LineFamily, delta: float):
+    """(lines, buckets): the lowest line of every occupied (bucket, cell) product.
+
+    Returned in ascending (bucket, cell coordinates) order, the order of
+    `grassmann.mesh_assign`'s packed codes, which go block by block into a
+    `_LowestLines` table.  Where the codes' layout would reach 2**62 the
+    lines' buckets and cells are taken as arrays instead, one stable sort
+    orders the lines by bucket and cell coordinates and the first line of
+    each run is kept, O(n log n).
+
+    Cost: about 60 ms a scale over box-large's 4.1 M lines at 2^-2 ...
+    2^-7 (one BLAS thread, 2-vCPU VM, best of 7), against about 100 ms
+    with (n,) bucket, cell and code arrays and np.minimum.at.
+    """
+    table, arrays = mesh_assign(family, delta, _LowestLines)
+    if table is not None:
+        return table.representatives()
+    buckets, cells = arrays
     # np.lexsort sorts by its last key first and keeps equal keys in line order
     keys = [cells[:, c] for c in range(cells.shape[1] - 1, -1, -1)] + [buckets]
     order = np.lexsort(keys)
-    new_run = np.zeros(n, dtype=bool)
+    new_run = np.zeros(len(buckets), dtype=bool)
     new_run[0] = True
     for key in keys:
         ordered = key[order]
         new_run[1:] |= ordered[1:] != ordered[:-1]
-    return order[new_run]
+    return order[new_run], buckets[order[new_run]]
 
 
 def pigeonhole_extract(
@@ -204,13 +247,14 @@ def pigeonhole_extract(
     index on ties), which keeps the certified bound monotone under family
     enlargement.
 
-    Cost per scale: `mesh_assign`; one pass over the packed (bucket, cell)
-    codes that picks each occupied cell's lowest line, through a table while
-    the codes are dense and one stable sort otherwise
-    (`_cell_representatives`); a greedy thinning of each bucket's
-    candidates, quadratic in the lines kept; and one prefiltered scan of the
-    cloud per kept line, stopping at the line's first point
-    (`_witness_on_line`).
+    Cost per scale: `mesh_assign`, streaming the packed (bucket, cell)
+    codes into a table of each occupied cell's lowest line while the codes
+    are dense and into one stable sort otherwise (`_cell_representatives`,
+    about 60 ms over box-large's 4.1 M lines at 2^-2 ... 2^-7, where (n,)
+    arrays, `mesh_codes` and np.minimum.at took about 100); a greedy
+    thinning of each bucket's candidates, quadratic in the lines kept; and
+    one prefiltered scan of the cloud per kept line, stopping at the line's
+    first point (`_witness_on_line`).
     """
     if not (0.0 < delta <= 0.5):
         raise InvalidScale(
@@ -234,19 +278,18 @@ def pigeonhole_extract(
     # double-precision rounding of points that lie exactly on their lines
     tol = max(cloud.resolution_floor, 1e-12) if tol is None else float(tol)
 
-    buckets, cells = mesh_assign(family, delta)
-    cands = _cell_representatives(buckets, cells)
+    cands, buckets = _cell_representatives(family, delta)
     sep = THINNING_SEPARATION * delta
     best_kept: list[int] = []
     best_bucket = -1
     best_cells = 0
     # candidates come bucket by bucket, each bucket's cells in lexicographic order
-    groups = np.flatnonzero(np.diff(buckets[cands])) + 1
-    for group in np.split(cands, groups):
+    starts = np.flatnonzero(np.diff(buckets)) + 1
+    for group, bucket in zip(np.split(cands, starts), buckets[np.r_[0, starts]]):
         kept = _greedy_thin(family.translations, group, sep)
         if len(kept) > len(best_kept):
             best_kept = kept
-            best_bucket = int(buckets[group[0]])
+            best_bucket = int(bucket)
             best_cells = len(group)
 
     witnesses = []

@@ -13,9 +13,11 @@ cell rows.  The package computes the same results with an angle cache,
 array-wide canonical rows, a largest-|cos| test, a net banded by height,
 decided by BLAS products away from the threshold and in array rounds,
 blocked BLAS assignment of each distinct direction with a near-tie
-re-rank, one pass over packed (bucket, cell) codes and a prefiltered scan;
-test_occupancy.py, test_pigeonhole_identity.py, test_cover_identity.py,
-test_assign_identity.py and test_snap_pack_identity.py compare the two.
+re-rank, (bucket, cell) codes packed in the mesh loop and streamed to
+their consumer, and a prefiltered scan; test_occupancy.py,
+test_pigeonhole_identity.py, test_cover_identity.py,
+test_assign_identity.py, test_snap_pack_identity.py and
+test_mesh_code_identity.py compare the two.
 `snap_floor` is the package's snapping rule as it was computed before it
 snapped in place, so no reference here runs the code under test.  No
 `assert` here, so the references behave the same under python -O.

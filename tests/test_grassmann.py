@@ -83,6 +83,8 @@ class TestMetric:
                 assert got == pytest.approx(abs(np.sin(th - th2)), abs=1e-10)
 
     def test_metric_axioms_random_triples(self):
+        # the triples are measured by batched `line_distances` calls, which
+        # equal `metric_d1` row for row, bit for bit (spot-checked below)
         rng = np.random.default_rng(11)
         n = 10_000
         dirs = rng.standard_normal((3 * n, 3))
@@ -90,18 +92,40 @@ class TestMetric:
         lines = [
             furst.standard_form(t, v) for t, v in zip(trans, dirs)
         ]
-        for i in range(n):
-            a, b, c = lines[3 * i], lines[3 * i + 1], lines[3 * i + 2]
-            ab = furst.metric_d1(a, b)
-            ba = furst.metric_d1(b, a)
-            ac = furst.metric_d1(a, c)
-            cb = furst.metric_d1(c, b)
-            assert ab >= 0.0
-            assert ab == ba  # symmetric exactly
-            assert ab <= ac + cb + 1e-9  # triangle with slack
+        vecs = np.array([ln.direction.vector for ln in lines])
+        offs = np.array([ln.translation for ln in lines])
+        a, b, c = ((vecs[k::3].copy(), offs[k::3].copy()) for k in range(3))
+        ab = grassmann.line_distances(*a, *b)
+        ba = grassmann.line_distances(*b, *a)
+        ac = grassmann.line_distances(*a, *c)
+        cb = grassmann.line_distances(*c, *b)
+        assert np.all(ab >= 0.0)
+        assert np.array_equal(ab, ba)  # symmetric exactly
+        assert np.all(ab <= ac + cb + 1e-9)  # triangle with slack
+        for i in range(0, n, 97):
+            x, y, z = lines[3 * i], lines[3 * i + 1], lines[3 * i + 2]
+            assert furst.metric_d1(x, y) == ab[i]
+            assert furst.metric_d1(y, x) == ba[i]
+            assert furst.metric_d1(x, z) == ac[i]
+            assert furst.metric_d1(z, y) == cb[i]
         # identity of indiscernibles
         for ln in lines[:100]:
             assert furst.metric_d1(ln, ln) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_distance_to_itself_stays_within_rounding(self, d):
+        # u - (u . u) u keeps the rounding of u . u, so d(l, l) is not 0 for
+        # about half of all lines; `line_distances` documents the bound
+        rng = np.random.default_rng(d)
+        vecs = grassmann._canonical_rows(rng.standard_normal((1000, d)))
+        offs = rng.uniform(-1, 1, size=(1000, d))
+        offs -= grassmann._row_dots(offs, vecs)[:, None] * vecs
+        dist = grassmann.line_distances(vecs, offs, vecs, offs)
+        assert np.all(dist <= (2 * d + 5) * 2.0**-53)
+        assert np.any(dist > 0.0)  # were it 0, the docstrings would say so
+        for i in range(0, 1000, 111):
+            line = furst.AffineLine(furst.Direction(vecs[i]), offs[i])
+            assert furst.metric_d1(line, line) <= (2 * d + 5) * 2.0**-53
 
     def test_distinct_lines_positive_distance(self):
         a = line_at([0, 0], [1, 0])

@@ -1,11 +1,11 @@
 """Pigeonhole certificates and witness scans equal their plain forms.
 
-`pigeonhole_extract` picks each occupied (bucket, cell)'s lowest line in one
-pass over packed codes and finds witnesses with a prefiltered scan;
-`line_reference` holds the forms that sort each bucket's cell rows and test
-every point exactly.  Certificates must agree in bucket, lines, witnesses,
-bound and meta, and failures must raise the same error with the same
-message.  These tests also run under python -O.
+`pigeonhole_extract` picks each occupied (bucket, cell)'s lowest line from
+the packed codes `mesh_assign` streams to it and finds witnesses with a
+prefiltered scan; `line_reference` holds the forms that sort each
+bucket's cell rows and test every point exactly.  Certificates must agree
+in bucket, lines, witnesses, bound and meta, and failures must raise the
+same error with the same message.  These tests also run under python -O.
 """
 
 import re
@@ -49,7 +49,8 @@ def assert_same_in_both_branches(family, cloud, delta, tol=None):
     assert_same_certificate(family, cloud, delta, tol)
     with mock.patch.object(verifier, "fits_table", lambda n, span: False):
         assert_same_certificate(family, cloud, delta, tol)
-    with mock.patch.object(verifier, "COUNT_BLOCK_ROWS", 3):
+    with mock.patch.object(verifier, "COUNT_BLOCK_ROWS", 3), \
+            mock.patch.object(grassmann, "COUNT_BLOCK_ROWS", 3):
         assert_same_certificate(family, cloud, delta, tol)
 
 
@@ -143,6 +144,9 @@ def test_code_range_beyond_2_62_still_extracts(d):
     family, cloud = family_and_cloud(dirs, trans, np.full(len(dirs), 0.2), slice(0, near))
     buckets, cells = grassmann.mesh_assign(family, delta)
     assert grassmann.mesh_codes(buckets, cells) is None
+    cover = furst.direction_cover(d, delta)
+    assigned = buckets if d > 2 else None
+    assert grassmann._mesh_layout(family, cover, assigned, 4.0 * delta) is None
     cert = assert_same_certificate(family, cloud, delta)
     assert cert.bound == near and sorted(cert.line_indices) == list(range(near))
 
@@ -154,9 +158,9 @@ def test_sparse_codes_take_the_sort_branch():
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     trans = np.column_stack([-np.sin(angles), np.cos(angles)]) * offsets[:, None]
     family, cloud = family_and_cloud(dirs, trans, rng.uniform(-0.3, 0.3, 300), slice(None))
-    buckets, cells = grassmann.mesh_assign(family, 0.01)
-    codes, span = grassmann.mesh_codes(buckets, cells)
-    assert not boxcount.fits_table(len(codes), span)
+    cover = furst.direction_cover(2, 0.01)
+    _, spans = grassmann._mesh_layout(family, cover, None, 0.04)
+    assert not boxcount.fits_table(len(family), int(np.prod(spans)))
     assert_same_certificate(family, cloud, 0.01)
 
 
