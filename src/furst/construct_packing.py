@@ -39,11 +39,13 @@ from .errors import (
     SoundnessViolation,
 )
 from .grassmann import (
+    NET_BLOCK_ROWS,
     ORTHO_TOL,
     AffineLine,
     LineFamily,
     _canonical_rows,
     _gram_schmidt_frame,
+    _greedy_net,
     _point_line_distances,
     _row_dots,
     first_close_pair,
@@ -247,15 +249,19 @@ def _line_net(v0: np.ndarray, a0: np.ndarray, radius: float, sep: float):
     norm, summed left to right, is over the radius; then builds each
     remaining distinct direction once (`_net_directions`) and every
     candidate line from it, and drops those over the radius in the line
-    metric.  The greedy test measures each remaining candidate against all
-    lines kept so far in one `line_distances` call.  Every value is the
-    one the candidate-at-a-time form computes, bit for bit.
+    metric.  The remaining candidates go to `grassmann._greedy_net`, whose
+    conflict test is `not line_distances(...) >= sep (1 - SEPARATION_TOL)`,
+    NET_BLOCK_ROWS candidates against NET_LATTICE_BLOCK / NET_BLOCK_ROWS
+    kept lines per call.  Every value is the one the candidate-at-a-time
+    form computes, bit for bit.
 
     Cost, with L = (2 span + 1)^(2(d-1)) lattice points, span =
     floor(2 radius / sep), m candidates within the radius and k kept
     lines: O(L d) array work, one Gram-Schmidt frame per distinct
-    direction within the radius, and m kernel calls of at most k rows
-    each; no temporary is larger than a block of the lattice.
+    direction within the radius, and about m k / NET_BLOCK_ROWS pairs
+    measured in calls of up to NET_LATTICE_BLOCK pairs, with no Python
+    work per candidate; no temporary is larger than a block of the
+    lattice.
     """
     d = v0.size
     h = sep / 2.0
@@ -264,50 +270,50 @@ def _line_net(v0: np.ndarray, a0: np.ndarray, radius: float, sep: float):
     floor = sep * (1.0 - SEPARATION_TOL)
     axes = (2 * span + 1,) * (2 * (d - 1))
     per_direction = (2 * span + 1) ** (d - 1)
-    kept = 0
-    kept_dirs = np.empty((16, d))
-    kept_trans = np.empty((16, d))
     total = (2 * span + 1) ** len(axes)
-    for start in range(0, total, NET_LATTICE_BLOCK):
-        flat = np.arange(start, min(start + NET_LATTICE_BLOCK, total))
-        offsets = [(g - span) * h for g in np.unravel_index(flat, axes)]
-        l1 = np.abs(offsets[0])
-        for off in offsets[1:]:
-            l1 = l1 + np.abs(off)
-        inside = np.flatnonzero(~(l1 > limit))  # cheap prefilter
-        if not inside.size:
-            continue
-        _, first, which = np.unique(
-            flat[inside] // per_direction, return_index=True, return_inverse=True
-        )
-        v, canon, base, frames = _net_directions(
-            v0, a0, [off[inside[first]] for off in offsets[: d - 1]]
-        )
-        v, canon = v[which], canon[which]
-        a = base[which]
-        for c, off in enumerate(offsets[d - 1 :]):
-            a = a + off[inside][:, None] * frames[which, c]
-        trans = a - _row_dots(a, v)[:, None] * v
-        near = ~(line_distances(canon, trans, v0[None], a0[None]) > limit)
-        for c in np.flatnonzero(near):
-            if kept and not (
-                line_distances(canon[c : c + 1], trans[c : c + 1],
-                               kept_dirs[:kept], kept_trans[:kept]) >= floor
-            ).all():
+    reach = NET_LATTICE_BLOCK // NET_BLOCK_ROWS  # kept lines per call: a block of pairs
+
+    def candidates():  # (m, 2d) rows: direction, then translation
+        for start in range(0, total, NET_LATTICE_BLOCK):
+            flat = np.arange(start, min(start + NET_LATTICE_BLOCK, total))
+            offsets = [(g - span) * h for g in np.unravel_index(flat, axes)]
+            l1 = np.abs(offsets[0])
+            for off in offsets[1:]:
+                l1 = l1 + np.abs(off)
+            inside = np.flatnonzero(~(l1 > limit))  # cheap prefilter
+            if not inside.size:
                 continue
-            if kept == len(kept_dirs):
-                kept_dirs = np.concatenate([kept_dirs, kept_dirs])
-                kept_trans = np.concatenate([kept_trans, kept_trans])
-            kept_dirs[kept], kept_trans[kept] = canon[c], trans[c]
-            kept += 1
-    if not kept:  # radius below the lattice step: keep the center
+            _, first, which = np.unique(
+                flat[inside] // per_direction, return_index=True, return_inverse=True
+            )
+            v, canon, base, frames = _net_directions(
+                v0, a0, [off[inside[first]] for off in offsets[: d - 1]]
+            )
+            v, canon = v[which], canon[which]
+            a = base[which]
+            for c, off in enumerate(offsets[d - 1 :]):
+                a = a + off[inside][:, None] * frames[which, c]
+            trans = a - _row_dots(a, v)[:, None] * v
+            near = ~(line_distances(canon, trans, v0[None], a0[None]) > limit)
+            yield np.concatenate([canon[near], trans[near]], axis=1)
+
+    def conflicts(p, q):
+        return ~(line_distances(p[:, None, :d], p[:, None, d:],
+                                q[None, :, :d], q[None, :, d:]) >= floor)
+
+    def bands(start, stop, index):
+        return [(lo, min(lo + reach, len(index))) for lo in range(0, len(index), reach)]
+
+    kept = _greedy_net(candidates(), conflicts, bands)[0]
+    if not len(kept):  # radius below the lattice step: keep the center
         return v0[None], a0[None]
-    dots = _row_dots(kept_trans[:kept], kept_dirs[:kept])
+    dirs, trans = kept[:, :d].copy(), kept[:, d:].copy()
+    dots = _row_dots(trans, dirs)
     skew = dots[np.abs(dots) > ORTHO_TOL]
     if skew.size:
         raise InvalidParameter("translation must be orthogonal to the direction "
                                f"(inner product {skew[0]:.3e})")
-    return kept_dirs[:kept], kept_trans[:kept]
+    return dirs, trans
 
 
 def _net_directions(v0: np.ndarray, a0: np.ndarray, offsets):

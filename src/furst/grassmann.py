@@ -41,10 +41,11 @@ NET_CANDIDATE_CAP = 400_000  # most candidates a d >= 3 greedy net may test
 # and cosines take 40 bytes per bucket, so a cover at 2^-24 (52.7 M
 # buckets) peaks near 2 GB; 2^-25 would need 105 M
 PLANAR_BUCKET_CAP = 2**26
-NET_BLOCK_ROWS = 128  # d = 3 candidates tested against their bands per block
+NET_BLOCK_ROWS = 128  # candidates a greedy net decides per block (`_greedy_net`)
 NET_MARGIN = 1e-12  # a BLAS |cos| this close to the limit is taken again in fixed order
 NET_BAND_SLACK = 1e-9  # added to the band radius for rounding in the heights
 SEPARATION_PAIR_BLOCK = 1 << 16  # candidate line pairs measured per kernel call
+_LATER = np.triu(np.ones((NET_BLOCK_ROWS, NET_BLOCK_ROWS), dtype=bool), 1)  # pairs i < j of a block
 
 
 def canonical_vector(v) -> np.ndarray:
@@ -163,7 +164,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _projection_distances(dirs_a, dirs_b) -> np.ndarray:
-    """Projection distance of each pair of rows of two (n, d) arrays (rows broadcast).
+    """Projection distance of each pair of rows of two (..., d) arrays (leading axes broadcast).
 
     Computed as the norm of the component of u orthogonal to v, which
     agrees with sqrt(1 - <u, v>^2) for unit representatives but stays
@@ -173,14 +174,14 @@ def _projection_distances(dirs_a, dirs_b) -> np.ndarray:
     with ==, so -0.0 equals 0.0), which makes the distance exactly
     symmetric.
     """
-    swap = dirs_a[:, 0] > dirs_b[:, 0]
-    undecided = dirs_a[:, 0] == dirs_b[:, 0]
-    for c in range(1, dirs_a.shape[1]):
-        swap |= undecided & (dirs_a[:, c] > dirs_b[:, c])
-        undecided &= dirs_a[:, c] == dirs_b[:, c]
-    u = np.where(swap[:, None], dirs_b, dirs_a)
-    v = np.where(swap[:, None], dirs_a, dirs_b)
-    perp = u - _row_dots(u, v)[:, None] * v
+    swap = dirs_a[..., 0] > dirs_b[..., 0]
+    undecided = dirs_a[..., 0] == dirs_b[..., 0]
+    for c in range(1, dirs_a.shape[-1]):
+        swap |= undecided & (dirs_a[..., c] > dirs_b[..., c])
+        undecided &= dirs_a[..., c] == dirs_b[..., c]
+    u = np.where(swap[..., None], dirs_b, dirs_a)
+    v = np.where(swap[..., None], dirs_a, dirs_b)
+    perp = u - _row_dots(u, v)[..., None] * v
     norm = np.sqrt(_row_dots(perp, perp))
     return np.where(norm < 1.0, norm, 1.0)  # min(1.0, norm)
 
@@ -190,7 +191,9 @@ def line_distances(dirs_a, trans_a, dirs_b, trans_b) -> np.ndarray:
 
     The lines are given as (n, d) arrays of canonical directions and
     translations, and a (1, d) side stands for one line measured against
-    n others.  The distance is the projection-norm term
+    n others; leading axes broadcast too, so (m, 1, d) sides against (1,
+    k, d) ones give the (m, k) table of every pair.  The distance is the
+    projection-norm term
     (`_projection_distances`) plus the Euclidean distance of the
     translations, each dot product a stacked one (`_row_dots`).
 
@@ -214,10 +217,11 @@ def line_distances(dirs_a, trans_a, dirs_b, trans_b) -> np.ndarray:
 def first_close_pair(directions, translations, floor: float):
     """The lexicographically first pair i < j of lines whose distance is below floor.
 
-    The lines are rows of (n, d) arrays of finite canonical directions and
-    translations.  Returns (i, j, distance), where the distance is
-    `line_distances` of rows i and j and "below" means not >= floor (a
-    nan distance counts), or None when no pair is below: the result of
+    The lines are rows of (n, d) arrays of canonical directions and
+    translations, all finite, as a `LineFamily` holds them: a non-finite
+    translation would leave its grid cell undefined.  Returns (i, j,
+    distance), where the distance is `line_distances` of rows i and j and
+    "below" means not >= floor, or None when no pair is below: the result of
     measuring all n (n - 1) / 2 pairs in order, found by measuring only
     pairs whose translations lie in neighbouring cells of a grid (a
     fixed-radius near-neighbour search).
@@ -231,8 +235,7 @@ def first_close_pair(directions, translations, floor: float):
     x / side.  With side = floor + 2^-48 ((d + 4) floor + R), two such
     coordinates have quotients less than 1 apart, so their cells differ by
     at most 1.  The side is also at least 2^-48 R, so cell indices stay
-    below 2^48.  A row with a non-finite translation is paired with every
-    other row.
+    below 2^48.
 
     Cells are hashed to int64 codes by a mixed-radix number (exact while
     the padded grid has fewer than 2^63 cells, wrapping beyond, where two
@@ -260,26 +263,20 @@ def first_close_pair(directions, translations, floor: float):
             if best is None or pair[:2] < best[:2]:
                 best = pair
 
-    finite = np.isfinite(trans).all(axis=1)
-    for b in np.flatnonzero(~finite):
-        others = np.delete(np.arange(n), b)
-        measure(np.minimum(others, b), np.maximum(others, b))
-    rows = np.flatnonzero(finite)
-    if rows.size < 2:
+    if n < 2:
         return best
-    reach = float(np.abs(trans[rows]).max())
+    reach = float(np.abs(trans).max())
     f = max(float(floor), 0.0)
     side = max(f + 2.0**-48 * ((d + 4) * f + reach), np.finfo(float).tiny)
-    cells = np.floor(trans[rows] / side).astype(np.int64)
+    cells = np.floor(trans / side).astype(np.int64)
     lo = cells.min(axis=0) - 1
     radix = [int(r) for r in cells.max(axis=0) - lo + 2]
     codes = cells[:, 0] - lo[0]
     for c in range(1, d):
         codes *= radix[c]  # wraps mod 2^64 past 2^63 cells
         codes += cells[:, c] - lo[c]
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    rows = rows[order]
+    rows = np.argsort(codes, kind="stable")
+    codes = codes[rows]
     ends = np.searchsorted(codes, codes, side="right")
     for offset in itertools.product((0, 1, -1), repeat=d):
         if any(offset) and next(o for o in offset if o) < 0:
@@ -472,9 +469,10 @@ def direction_cover(d: int, delta: float) -> DirectionCover:
     below ~ 0.24) raises ResourceCap before anything is built: a net over
     fewer candidates than that would not be shown to cover at radius delta.
     `_greedy_sphere_net` gives the cost; at (3, 2^-5), 36,864 candidates
-    and 9,252 centres, the build takes about 0.045 s on one core of a
+    and 9,252 centres, the build takes about 0.025 s on one core of a
     2-vCPU VM, and its peak temporaries are the candidates and the net's
-    buffer, 16 * count * d bytes (1.8 MB).
+    buffer of kept rows and their positions, 8 * count * (2d + 1) bytes
+    (2.1 MB).
     """
     if not (0.0 < delta <= 1.0):
         raise InvalidScale(f"cover scale must lie in (0, 1], got {delta}")
@@ -583,62 +581,17 @@ def _greedy_sphere_net(d: int, delta: float) -> np.ndarray:
     |cos| differs from that value by under d * 2^-52, so one more than
     NET_MARGIN from limit decides its pair, and one within the margin is
     taken again in fixed order: no decision depends on the BLAS build or
-    its thread count.  The centres fill a preallocated (count, d) buffer.
+    its thread count.  `_greedy_net` finds the in-order greedy set under
+    that test, NET_BLOCK_ROWS candidates at a time.
 
-    d >= 4 runs `_conflicts` on every candidate: O(count * k * d) for
-    count = `_net_candidate_count` candidates and k centres.  d = 3 keeps
-    the same centres, bit for bit, testing each candidate only against the
-    centres near its height (`_banded_net`): about count * (band +
-    NET_BLOCK_ROWS) * d, where a band holds O(k * delta) centres.  With
-    one BLAS thread on a 2-vCPU VM that is 0.64 -> 0.045 s at 2^-5 and
-    8.3 -> 0.22 s at 2^-6, against `_conflicts` on every candidate.
-    """
-    count = _net_candidate_count(d, delta)
-    cands = _candidate_directions(d, count)
-    limit = _largest_separated_cos(0.6 * delta)
-    net = np.empty((count, d))
-    if d == 3:
-        kept = _banded_net(cands, _fibonacci_heights(count), limit, net)
-    else:
-        kept = 0
-        for c in cands:
-            if not _conflicts(net, kept, c, limit):
-                net[kept] = c
-                kept += 1
-    return net[:kept].copy()
-
-
-def _conflicts(net: np.ndarray, kept: int, c: np.ndarray, limit: float) -> bool:
-    """True when c conflicts with a kept centre of net[:kept] (`_greedy_sphere_net`).
-
-    One matrix-vector product gives every |cos|; one above limit +
-    NET_MARGIN proves a conflict, and those within the margin are tested
-    again in fixed order.
-    """
-    if not kept:
-        return False
-    cos = net[:kept] @ c
-    if cos.max() > limit + NET_MARGIN or cos.min() < -limit - NET_MARGIN:
-        return True
-    near = net[:kept][np.abs(cos) >= limit - NET_MARGIN]
-    return bool((_fixed_order_cos(near, c) > limit).any())
-
-
-def _band_radius(limit: float) -> float:
-    """Height gap past which a d = 3 candidate and a centre are never near.
-
-    See `_banded_net` for why a |cos| of at least limit - NET_MARGIN needs
-    a height gap (as given or with one row negated) below this radius.
-    """
-    return float(np.sqrt(2.0 - 2.0 * limit + 4.0 * NET_MARGIN)) + NET_BAND_SLACK
-
-
-def _banded_net(cands, heights, limit, net) -> int:
-    """`_greedy_sphere_net` for d = 3: fill net with its centres, return how many.
-
-    The golden-spiral candidates come in descending pre-canonical height
-    z = `_fibonacci_heights`, so the kept centres do too and the centres
-    within a height band are one slice of the net, found by searchsorted.
+    d >= 4 compares each block with every kept centre: O(count * k * d)
+    for count = `_net_candidate_count` candidates and k centres, in BLAS
+    products.  d = 3 compares a block only with the centres near its
+    heights, about count * (band + NET_BLOCK_ROWS) * d, where a band holds
+    O(k * delta) centres.  The golden-spiral candidates come in descending
+    pre-canonical height z = `_fibonacci_heights`, so the kept centres do
+    too and the centres within a height band are one slice of the kept
+    rows, found by searchsorted.
 
     Band bound.  Let p be a candidate before canonicalisation and c = +-p /
     |p| its row.  Its float coordinates make |p|^2 = 1 within a few ulps
@@ -655,68 +608,118 @@ def _banded_net(cands, heights, limit, net) -> int:
     bands therefore has every computed |cos|, BLAS or fixed-order, below
     limit - NET_MARGIN: it cannot conflict with the candidate.
 
-    Candidates are taken NET_BLOCK_ROWS at a time.  One product gives each
-    candidate's largest |cos| with the centres kept before the block in its
-    two bands, and one more product, of the other (open) candidates with
-    themselves, the |cos| of each open pair.  Each value more than
-    NET_MARGIN from limit decides its pair by the rule of
-    `_greedy_sphere_net`.  A candidate whose largest |cos| lies within the
-    margin is tested again against its bands in fixed order, and so is
-    each open pair whose |cos| does.  The block's conflict graph is then
-    exact, and the kept candidates are its in-order greedy independent
-    set, which `_greedy_in_rounds` finds in array rounds.
-
-    Cost: about count * band * d for the band products, and per block one
-    product of its open candidates (about as many as it keeps) and a few
-    array operations per round, with no Python work per candidate.  At
-    2^-5 (36,864 candidates, 9,252 centres, 288 blocks) half the blocks
-    have no open candidate, nearly all others decide in one round, and
-    the build takes about 0.045 s on one core of a 2-vCPU VM.
+    With one BLAS thread on a 2-vCPU VM the build takes about 0.025 s at
+    (3, 2^-5), 36,864 candidates and 9,252 centres, and about 0.02 s at
+    (4, 0.25) and at (5, 0.5), against 0.08 and 0.1 s with one
+    matrix-vector product per candidate.
     """
-    radius = _band_radius(limit)
+    count = _net_candidate_count(d, delta)
+    cands = _candidate_directions(d, count)
+    limit = _largest_separated_cos(0.6 * delta)
     high, low = limit + NET_MARGIN, limit - NET_MARGIN
-    depths = np.empty(len(cands))  # -z of the kept centres, ascending
-    later = np.triu(np.ones((NET_BLOCK_ROWS, NET_BLOCK_ROWS), dtype=bool), 1)
-    kept = 0
-    for start in range(0, len(cands), NET_BLOCK_ROWS):
-        block = cands[start : start + NET_BLOCK_ROWS]
-        z = heights[start : start + NET_BLOCK_ROWS]
-        seen = depths[:kept]
-        near = np.searchsorted(seen, -z[0] - radius)  # z_k < z_c + radius
-        mirror = (  # |z_k + z_c| < radius
-            np.searchsorted(seen, z[-1] - radius),
-            np.searchsorted(seen, z[0] + radius, side="right"),
-        )
-        if mirror[1] < near:
-            bands = [(near, kept), mirror]
-        else:
-            bands = [(min(near, mirror[0]), kept)]
-        top = np.zeros(len(block))
-        for lo, hi in bands:
-            if hi > lo:
-                np.maximum(top, np.abs(block @ net[lo:hi].T).max(axis=1), out=top)
-        open_ = np.flatnonzero(top <= high)
-        unsure = top[open_] >= low
-        if unsure.any():
-            band = np.concatenate([net[lo:hi] for lo, hi in bands])
-            cos = _fixed_order_cos(band, block[open_[unsure], None])
-            unsure[unsure] = (cos > limit).any(axis=1)
-            open_ = open_[~unsure]
-        if not open_.size:
-            continue  # each candidate is too close to a kept centre
-        rows = block[open_]
-        pairs = np.abs(rows @ rows.T)
-        conflict = pairs > high
-        unsure = (pairs >= low) & ~conflict
+
+    def conflicts(a, b):
+        cos = a @ b.T
+        np.abs(cos, out=cos)
+        out = cos > high
+        unsure = cos >= low
+        unsure ^= out  # out implies unsure
         if unsure.any():
             i, j = np.nonzero(unsure)
-            conflict[i, j] = _fixed_order_cos(rows[i], rows[j]) > limit
-        m = open_.size
-        chosen = open_[_greedy_in_rounds(conflict & later[:m, :m])]
-        net[kept : kept + chosen.size] = block[chosen]
-        depths[kept : kept + chosen.size] = -z[chosen]
-        kept += chosen.size
-    return kept
+            out[i, j] = _fixed_order_cos(a[i], b[j]) > limit
+        return out
+
+    bands = None
+    if d == 3:
+        heights = _fibonacci_heights(count)
+        depths = -heights  # ascending
+        radius = _band_radius(limit)
+
+        def bands(start, stop, index):
+            top, bottom = heights[start], heights[stop - 1]
+            # the first candidates past each bound, then the first kept rows
+            near, mirror, mirror_end = index.searchsorted([
+                *depths.searchsorted([-top - radius, bottom - radius]),
+                depths.searchsorted(top + radius, "right"),
+            ]).tolist()
+            # near: z_k < z_c + radius; mirror: |z_k + z_c| < radius
+            if mirror_end < near:
+                return [(near, len(index)), (mirror, mirror_end)]
+            return [(min(near, mirror), len(index))]
+
+    return _greedy_net((cands,), conflicts, bands)[0]
+
+
+def _band_radius(limit: float) -> float:
+    """Height gap past which a d = 3 candidate and a centre are never near.
+
+    See `_greedy_sphere_net` for why a |cos| of at least limit - NET_MARGIN
+    needs a height gap (as given or with one row negated) below this radius.
+    """
+    return float(np.sqrt(2.0 - 2.0 * limit + 4.0 * NET_MARGIN)) + NET_BAND_SLACK
+
+
+def _greedy_net(batches, conflicts, bands=None):
+    """The in-order greedy independent set of candidate rows under a conflict test.
+
+    The candidates are the rows of the (m, w) arrays that `batches`
+    yields, in order, and each is kept unless it conflicts with a row kept
+    before it.  conflicts(a, b) is the caller's exact test: a bool
+    (len(a), len(b)) array, True where row i of a conflicts with row j of
+    b, and the transpose of conflicts(b, a).  bands(start, stop, index),
+    given the positions start:stop of a block of candidates and the
+    ascending positions `index` of the rows kept so far, returns the (lo,
+    hi) slices of the kept rows that may conflict with a candidate of the
+    block; by default every kept row may.
+
+    Candidates are decided NET_BLOCK_ROWS at a time.  First every
+    candidate of the block that conflicts with a row kept before the block
+    is dropped, the candidates still open compared with up to
+    SEPARATION_PAIR_BLOCK / NET_BLOCK_ROWS kept rows per call.  Then one
+    call gives the conflicts among the block's remaining candidates, and
+    `_greedy_in_rounds` keeps their in-order greedy independent set.  That
+    is the set the candidate-at-a-time loop keeps, however the candidates
+    are grouped: each pair is decided by the same test, and the loop's
+    kept rows before a block are the ones kept here.
+
+    Returns (rows, index): the kept rows, a fresh (k, w) array, and their
+    positions in the candidate order.  The kept rows fill one contiguous
+    buffer, grown when a batch could overfill it, so a band is a slice; no
+    conflicts call compares more than max(NET_BLOCK_ROWS^2,
+    SEPARATION_PAIR_BLOCK) pairs, and no other temporary is larger than a
+    block.
+    """
+    reach = max(1, SEPARATION_PAIR_BLOCK // NET_BLOCK_ROWS)  # kept rows per call
+    net, index = np.empty((0, 0)), np.empty(0, dtype=np.int64)
+    kept = seen = 0
+    for cands in batches:
+        if kept + len(cands) > len(index):
+            size = max(2 * len(index), kept + len(cands))
+            grown, at = np.empty((size, cands.shape[1])), np.empty(size, dtype=np.int64)
+            if kept:
+                grown[:kept], at[:kept] = net[:kept], index[:kept]
+            net, index = grown, at
+        for start in range(0, len(cands), NET_BLOCK_ROWS):
+            block = cands[start : start + NET_BLOCK_ROWS]
+            first = seen + start
+            open_ = np.arange(len(block))
+            slices = bands(first, first + len(block), index[:kept]) if bands else [(0, kept)]
+            for lo, hi in slices:
+                for at in range(lo, hi, reach):
+                    if open_.size:
+                        rows = net[at : min(at + reach, hi)]
+                        open_ = open_[~conflicts(block[open_], rows).any(axis=1)]
+            if not open_.size:
+                continue
+            m = open_.size
+            if m > 1:
+                rows = block[open_]
+                open_ = open_[_greedy_in_rounds(conflicts(rows, rows) & _LATER[:m, :m])]
+            net[kept : kept + open_.size] = block[open_]
+            index[kept : kept + open_.size] = first + open_
+            kept += open_.size
+        seen += len(cands)
+    return net[:kept].copy(), index[:kept].copy()
 
 
 def _greedy_in_rounds(conflict: np.ndarray) -> np.ndarray:

@@ -30,12 +30,7 @@ import numpy as np
 from furst.errors import InconsistentInput, InvalidParameter, InvalidScale
 from furst.grassmann import _gram_schmidt_frame, canonical_vector, direction_cover
 from furst.util import derive_seed
-from furst.verifier import (
-    THINNING_SEPARATION,
-    ExtractionCertificate,
-    _check_witnesses,
-    _greedy_thin,
-)
+from furst.verifier import THINNING_SEPARATION, ExtractionCertificate, _check_witnesses
 
 
 def snap_floor(values, width, snap=1e-9):
@@ -45,6 +40,22 @@ def snap_floor(values, width, snap=1e-9):
     idx = np.floor(q)
     idx += (q - idx) > (1.0 - snap)
     return idx.astype(np.int64)
+
+
+def greedy_thin(points, order, sep):
+    """Greedy separated subset of `points`, visiting rows in `order`: each
+    row against every kept row, one np.linalg.norm at a time."""
+    kept = []
+    for i in order:
+        p = points[i]
+        ok = True
+        for j in kept:
+            if float(np.linalg.norm(p - points[j])) < sep:
+                ok = False
+                break
+        if ok:
+            kept.append(int(i))
+    return kept
 
 
 def candidate_directions(d, count):
@@ -187,7 +198,7 @@ def pigeonhole_extract(family, cloud, delta, tol=None):
         lex = np.lexsort(
             tuple(cells[cands][:, c] for c in range(cells.shape[1] - 1, -1, -1))
         )
-        kept = _greedy_thin(family.translations, cands[lex], sep)
+        kept = greedy_thin(family.translations, cands[lex], sep)
         if len(kept) > len(best_kept):
             best_kept = kept
             best_bucket = int(b)

@@ -2,9 +2,11 @@
 
 `DirectionCover.assign` assigns each distinct row once and scatters its
 bucket back to the copies; `line_reference.assign` fills one full |cos|
-matrix over every row.  `_banded_net` decides each block of candidates in
-array rounds (`_greedy_in_rounds`), taking again in fixed order each
-value that lies within NET_MARGIN of the threshold.  `plain_net` below
+matrix over every row.  The d = 3 sphere net compares each block of
+candidates with the kept centres in its height bands and decides the
+block in array rounds (`_greedy_net`, `_greedy_in_rounds`), taking again
+in fixed order each value that lies within NET_MARGIN of the threshold.
+`plain_net` below
 tests every candidate against every kept centre by fixed-order |cos|,
 and `in_order_banded_net` decides the banded candidates one at a time, as
 the package did before the rounds, a value within the margin by
@@ -30,6 +32,11 @@ import line_reference
 
 THIRDS = furst.CantorSpec(3, (0, 2))
 NET_SCALES = [2.0**-k for k in range(1, 6)] + [0.3, 0.125, 0.07, 0.045]
+
+
+def expect(ok, what):
+    if not ok:
+        raise AssertionError(what)
 
 
 def same_bits(a, b):
@@ -240,11 +247,45 @@ def test_banded_net_with_a_wide_margin(delta):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_rounds_keep_the_in_order_greedy_set(m, density, seed):
+@given(st.integers(0, 300), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+       st.sampled_from([(1, 3), (7, 7 * 5), (grassmann.NET_BLOCK_ROWS, None)]),
+       st.booleans())
+def test_rounds_keep_the_in_order_greedy_set(m, density, seed, sizes, banded):
+    # the kernel under a random symmetric conflict relation, its candidates
+    # cut into random batches, decided in blocks of 1, 7 and 128 candidates
+    # against 3, 5 and 512 kept rows per call, with the kept rows given
+    # whole or in two bands
     rng = np.random.default_rng(seed)
-    conflict = np.triu(rng.random((m, m)) < density, 1)
-    assert np.array_equal(grassmann._greedy_in_rounds(conflict), in_order_greedy(conflict))
+    relation = np.triu(rng.random((m, m)) < density / max(1.0, m / 40), 1)
+    want = in_order_greedy(relation)
+    if m <= grassmann.NET_BLOCK_ROWS:
+        expect(np.array_equal(grassmann._greedy_in_rounds(relation), want),
+               "rounds differ from the in-order loop")
+    relation |= relation.T
+    ids = np.arange(m, dtype=float)[:, None]
+    cuts = np.sort(rng.integers(0, m + 1, rng.integers(0, 4)))
+    calls = []
+
+    def conflicts(a, b):
+        calls.append(len(a) * len(b))
+        return relation[a[:, 0].astype(np.int64)][:, b[:, 0].astype(np.int64)]
+
+    def bands(start, stop, index):
+        cut = int(rng.integers(0, len(index) + 1))
+        return [(cut, len(index)), (0, cut)]
+
+    block, pairs = sizes
+    with mock.patch.object(grassmann, "NET_BLOCK_ROWS", block), mock.patch.object(
+        grassmann, "SEPARATION_PAIR_BLOCK", pairs or grassmann.SEPARATION_PAIR_BLOCK
+    ):
+        rows, index = grassmann._greedy_net(
+            np.split(ids, cuts), conflicts, bands if banded else None
+        )
+    expect(np.array_equal(index, want), f"kept {index.tolist()} != {want.tolist()}")
+    expect(np.array_equal(rows.reshape(-1), want), "kept rows differ from their positions")
+    reach = max(1, (pairs or grassmann.SEPARATION_PAIR_BLOCK) // block)
+    expect(max(calls, default=0) <= block * max(block, reach),
+           "a call compares more pairs than a block allows")
 
 
 # ------------------------------------------------------------- grouped projection

@@ -408,6 +408,19 @@ class TestEstimateVerifyReport:
         assert certs["all_sound"]
         assert certs["certificates"][0]["branch"].startswith("dichotomy")
 
+    def test_growing_d3_packing_verifies(self, tmp_path):
+        # 4,456 lines in the last state: two-point extraction has no line cap
+        cfg = {"d": 3, "s": 0.5, "t": 2.0, "seed": 7, "schedule": {
+            "mode": "demo", "etas": [1.0, 1 / 16, 2.0**-10, 2.0**-24]}}
+        cfg_path = write_config(tmp_path / "p.json", cfg)
+        out = tmp_path / "p"
+        assert main(["construct-packing", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+        certs = json.loads((out / "certificates.json").read_text())
+        assert certs["all_sound"] is True
+        (cert,) = certs["certificates"]
+        assert (cert["branch"], cert["bound"], cert["measured_count"]) == ("dichotomy-y", 1, 3553)
+
     @pytest.mark.parametrize("case, message", [
         ("ragged marks", "marks of line 0 are not an array of numbers"),
         ("empty marks", "marks of line 0 must be a non-empty, finite (n, 2) array"),

@@ -219,3 +219,59 @@ def test_witness_scan_takes_lowest_row_across_blocks(d):
         with mock.patch.object(verifier, "COUNT_BLOCK_ROWS", block_rows):
             got = verifier._witness_on_line(family, 0, cloud, 1e-9)
         assert np.array_equal(got, points[37])
+
+
+# the blocked greedy thinning against the pairwise loop, without `assert`
+
+
+def expect(ok, what):
+    if not ok:
+        raise AssertionError(what)
+
+
+def check_thinning(points, order, sep, groups=None):
+    """`verifier._greedy_thin` keeps what `line_reference.greedy_thin` keeps
+    in each run of equal `groups` labels of `order`, decided in blocks of
+    1, 7 and 128 rows against 3, 5 and 512 kept rows per call."""
+    groups = np.zeros(len(order)) if groups is None else groups
+    runs = np.split(order, np.flatnonzero(np.diff(groups)) + 1)
+    want = [i for run in runs for i in line_reference.greedy_thin(points, run, sep)]
+    for block, pairs in ((1, 3), (7, 7 * 5), (grassmann.NET_BLOCK_ROWS, None)):
+        with mock.patch.object(grassmann, "NET_BLOCK_ROWS", block), mock.patch.object(
+            grassmann, "SEPARATION_PAIR_BLOCK", pairs or grassmann.SEPARATION_PAIR_BLOCK
+        ):
+            got = order[verifier._greedy_thin(points[order], groups, sep)].tolist()
+        expect(got == want, f"block {block}: kept {got} != {want}")
+    return want
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_thinning_matches_the_pairwise_loop(d, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, (250, d))
+    points[200:] = points[:50] + rng.uniform(-1e-3, 1e-3, (50, d))  # near copies
+    order = rng.permutation(250)[:220]  # some rows never visited
+    # one group, then runs of 1 to 40 rows, some labels far apart
+    runs = np.repeat(np.arange(20), rng.integers(1, 40, 20))[:220]
+    for groups in (None, np.r_[runs, np.full(220 - len(runs), 99)] * 1000.0):
+        for sep in (0.02, 0.1, 0.5, 3.0):
+            kept = check_thinning(points, order, sep, groups)
+            expect(0 < len(kept) <= len(order), "thinning keeps at least the first row")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_thinning_at_sep_and_one_ulp_either_side(d):
+    # pairs along e_1 at gap sep, one ulp below and one ulp above, each pair
+    # on its own row of e_2, so a pair's distance is exactly its gap
+    sep = 0.1
+    gaps = [sep, np.nextafter(sep, 0.0), np.nextafter(sep, 1.0)] * 25  # 150 rows
+    points = np.zeros((2 * len(gaps), d))
+    points[1::2, 0] = gaps
+    points[:, 1] = np.repeat(np.arange(len(gaps)), 2)
+    rng = np.random.default_rng(d)
+    order = rng.permutation(len(points))
+    kept = set(check_thinning(points, order, sep))
+    for pair, gap in enumerate(gaps):
+        both = {2 * pair, 2 * pair + 1} <= kept
+        expect(both == (gap >= sep), f"pair {pair} at gap {gap!r}: both kept {both}")

@@ -160,6 +160,17 @@ class TestTwoPoint:
         )
         assert cert.bound == 1
 
+    def test_family_over_2000_lines(self):
+        # parallel lines 0.02 apart: every x point is kept, across many blocks
+        K = 2100
+        trans = np.column_stack([np.zeros(K), 0.02 * np.arange(K)])
+        fam = furst.LineFamily(np.tile([1.0, 0.0], (K, 1)), trans, 1e-9)
+        cert = furst.two_point_extract(fam, trans, trans + [1.0, 0.0], 0.01, 1.0, 1)
+        assert cert.branch == "dichotomy-x"
+        assert cert.bound == K
+        assert cert.line_indices == tuple(range(K))
+        assert cert.min_witness_separation() >= 0.01
+
     def test_packing_trajectory(self):
         sched = furst.ScaleSchedule((1.0, 1 / 16, 2.0**-10), "demo")
         states = furst.run_alternating(2, 0.5, 1.0, sched)
