@@ -48,8 +48,6 @@ from .construct_packing import (
     spread_marks,
 )
 from .grassmann import (
-    AffineLine,
-    Direction,
     DirectionCover,
     LineFamily,
     direction_cover,
@@ -57,7 +55,6 @@ from .grassmann import (
     mesh_cover_count,
     metric_d1,
     projection_distance,
-    standard_form,
 )
 from .verifier import (
     ExtractionCertificate,
@@ -71,11 +68,9 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineLine",
     "BoxSharpSpec",
     "CantorSpec",
     "CoverReport",
-    "Direction",
     "DirectionCover",
     "DirectionSequence",
     "ExtractionCertificate",
@@ -118,7 +113,6 @@ __all__ = [
     "spec_for_dimension",
     "spread_lines",
     "spread_marks",
-    "standard_form",
     "tangent_margin",
     "two_point_extract",
 ]

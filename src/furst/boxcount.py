@@ -167,17 +167,6 @@ class CodeSet:
         return int(self.codes().size)
 
 
-def count_distinct(code_blocks, n: int, span: int) -> int:
-    """Number of distinct values among n int64 codes in [0, span) (`CodeSet`).
-
-    The codes arrive as an iterable of arrays.
-    """
-    seen = CodeSet(n, span)
-    for codes in code_blocks:
-        seen.add(codes)
-    return seen.count()
-
-
 def _pack(cells: np.ndarray, lo: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """Packed code of each row of (m, d) cell indices in the box [lo, lo + spans)."""
     codes = cells[:, 0] - lo[0]

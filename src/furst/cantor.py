@@ -12,6 +12,7 @@ from math import log
 import numpy as np
 
 from .errors import InvalidParameter, ResourceCap, UnsupportedScale
+from .util import as_number, as_numbers, as_object
 
 DEFAULT_POINT_CAP = 5_000_000
 
@@ -49,7 +50,9 @@ class CantorSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CantorSpec":
-        return cls(cfg["base"], cfg["digits"])
+        cfg = as_object(cfg, "cantor")
+        return cls(as_number(int, cfg["base"], "cantor base"),
+                   as_numbers(int, cfg["digits"], "cantor digits"))
 
 
 def covering_count(spec: CantorSpec, k: int) -> int:

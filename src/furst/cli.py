@@ -37,7 +37,7 @@ from .construct_packing import (
 )
 from .errors import FurstError, InconsistentInput, InvalidParameter, ResourceCap, SoundnessViolation
 from .grassmann import LineFamily, mesh_cover_count
-from .util import read_csv, read_json, write_csv, write_json
+from .util import as_number, as_object, read_csv, read_json, write_csv, write_json
 from .verifier import dimension_thresholds, pigeonhole_extract, two_point_extract
 
 EXIT_OK = 0
@@ -86,20 +86,20 @@ def cmd_construct_box(config: dict, out: Path) -> int:
 
 def cmd_construct_packing(config: dict, out: Path) -> int:
     schedule = ScaleSchedule.from_config(config["schedule"])
-    K = int(config.get("K", schedule.steps))
+    K = as_number(int, config.get("K", schedule.steps), "K")
     if K > schedule.steps:
         raise InvalidParameter(f"K = {K} exceeds the schedule's {schedule.steps} steps")
     schedule = ScaleSchedule(schedule.etas[: K + 1], schedule.mode)
-    caps = config.get("caps", {})
+    caps = as_object(config.get("caps", {}), "caps")
     first = config.get("first", OPTION_LINES)
     states = run_alternating(
-        int(config["d"]),
-        float(config["s"]),
-        float(config["t"]),
+        as_number(int, config["d"], "d"),
+        as_number(float, config["s"], "s"),
+        as_number(float, config["t"], "t"),
         schedule,
         first_option=first,
-        max_lines=int(caps.get("max_lines", DEFAULT_MAX_LINES)),
-        max_marks=int(caps.get("max_marks", DEFAULT_MAX_MARKS)),
+        max_lines=as_number(int, caps.get("max_lines", DEFAULT_MAX_LINES), "caps.max_lines"),
+        max_marks=as_number(int, caps.get("max_marks", DEFAULT_MAX_MARKS), "caps.max_marks"),
     )
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -135,14 +135,19 @@ def cmd_construct_packing(config: dict, out: Path) -> int:
     return EXIT_OK
 
 
+def _read_manifest(out: Path) -> dict:
+    return as_object(read_json(out / "manifest.json"), "the manifest")
+
+
 def _load_box_artifacts(out: Path, manifest: dict):
+    floors = as_object(manifest["floors"], "the manifest's floors")
     pts = read_csv(out / "points.csv")
     if len(pts) == 0:
         raise InconsistentInput(f"{out / 'points.csv'} holds no points")
-    cloud = PointCloud(pts, manifest["floors"]["points"])
+    cloud = PointCloud(pts, as_number(float, floors["points"], "floors.points"))
     d = pts.shape[1]
     raw = read_csv(out / "lines.csv")
-    family = LineFamily(raw[:, :d], raw[:, d:], manifest["floors"]["lines"])
+    family = LineFamily(raw[:, :d], raw[:, d:], as_number(float, floors["lines"], "floors.lines"))
     return cloud, family
 
 
@@ -153,7 +158,7 @@ def _default_scales(floor: float, requested) -> list[float]:
 
 
 def cmd_estimate(out: Path, scales) -> int:
-    manifest = read_json(out / "manifest.json")
+    manifest = _read_manifest(out)
     if manifest.get("kind") == "box":
         cloud, family = _load_box_artifacts(out, manifest)
         spec = BoxSharpSpec.from_config(manifest["spec"])
@@ -220,7 +225,7 @@ def cmd_estimate(out: Path, scales) -> int:
 
 
 def cmd_verify(out: Path, scales) -> int:
-    manifest = read_json(out / "manifest.json")
+    manifest = _read_manifest(out)
     checked = []  # (certificate, measured count, sound)
     if manifest.get("kind") == "box":
         cloud, family = _load_box_artifacts(out, manifest)
@@ -359,7 +364,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         out = Path(args.out)
         if args.command in ("construct-box", "construct-packing"):
-            config = read_json(Path(args.config))
+            config = as_object(read_json(Path(args.config)), "the config")
             if args.seed is not None:
                 config["seed"] = args.seed
             if "seed" not in config:

@@ -18,8 +18,8 @@ from . import cantor
 from .boxcount import COUNT_BLOCK_ROWS, PointCloud, grid_count
 from .cantor import CantorSpec
 from .errors import InvalidParameter, InvalidScale, ResourceCap
-from .grassmann import Direction, LineFamily, _canonical_rows
-from .util import min_pairwise_distance
+from .grassmann import LineFamily, _canonical_rows
+from .util import as_number, as_object, min_pairwise_distance
 
 DEFAULT_MAX_POINTS = 20_000_000
 MAX_SHELL = 64
@@ -100,23 +100,27 @@ class BoxSharpSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BoxSharpSpec":
-        cfg = dict(cfg)
+        cfg = as_object(cfg, "the box config")
         if "cantor" in cfg:
             spec = CantorSpec.from_config(cfg["cantor"])
         elif "s" in cfg:
-            spec = cantor.spec_for_dimension(float(cfg["s"]))
+            spec = cantor.spec_for_dimension(as_number(float, cfg["s"], "s"))
         else:
             raise InvalidParameter("config needs either 'cantor' or 's'")
+
+        def number(kind, key, default=None):
+            return as_number(kind, cfg[key] if default is None else cfg.get(key, default), key)
+
         return cls(
-            d=int(cfg["d"]),
+            d=number(int, "d"),
             cantor=spec,
-            t=float(cfg["t"]),
-            M=int(cfg["M"]),
-            N=int(cfg["N"]),
-            depth=int(cfg["depth"]),
-            seed=int(cfg["seed"]),
-            dir_density=int(cfg.get("dir_density", 0)),
-            max_points=int(cfg.get("max_points", DEFAULT_MAX_POINTS)),
+            t=number(float, "t"),
+            M=number(int, "M"),
+            N=number(int, "N"),
+            depth=number(int, "depth"),
+            seed=number(int, "seed"),
+            dir_density=number(int, "dir_density", 0),
+            max_points=number(int, "max_points", DEFAULT_MAX_POINTS),
         )
 
 
@@ -129,7 +133,7 @@ class DirectionSequence:
     box dimension d - 1.
     """
 
-    base: Direction
+    base: np.ndarray  # (d,) read-only row, the first coordinate axis
     vectors: np.ndarray  # (N, d), canonical unit rows
     shells: tuple  # (shell index, net spacing, points taken) per shell
 
@@ -170,7 +174,8 @@ def make_directions(d: int, count: int, density: int = 0) -> DirectionSequence:
         raise InvalidParameter("need at least one direction")
     if d < 2:
         raise InvalidParameter("ambient dimension must be >= 2")
-    base = Direction(np.eye(d)[0])
+    base = np.eye(d)[0]
+    base.setflags(write=False)
     blocks: list[np.ndarray] = []
     shells: list[tuple] = []
     remaining = count

@@ -40,19 +40,18 @@ from .errors import (
 )
 from .grassmann import (
     NET_BLOCK_ROWS,
-    ORTHO_TOL,
-    AffineLine,
     LineFamily,
     _canonical_rows,
     _gram_schmidt_frame,
     _greedy_net,
     _point_line_distances,
+    _require_orthogonal,
     _row_dots,
     first_close_pair,
     line_distances,
     mesh_cover_count,
 )
-from .util import read_json, write_json
+from .util import as_numbers, as_object, read_json, write_json
 
 SEPARATION_TOL = 1e-12
 # absorbs the 5-eta neighborhood dilation and grid bracketing in the
@@ -115,7 +114,8 @@ class ScaleSchedule:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ScaleSchedule":
-        return cls(cfg["etas"], cfg.get("mode", "strict"))
+        cfg = as_object(cfg, "schedule")
+        return cls(as_numbers(float, cfg["etas"], "schedule etas"), cfg.get("mode", "strict"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +238,8 @@ def _line_net(v0: np.ndarray, a0: np.ndarray, radius: float, sep: float):
     the line metric.  When the radius falls below the lattice step the
     center line itself is kept, so the net is never empty.  Returns the
     kept rows' (k, d) directions and translations; a translation more
-    than ORTHO_TOL off orthogonal to its direction raises InvalidParameter.
+    than ORTHO_TOL off orthogonal to its direction raises InvalidParameter
+    (`grassmann._require_orthogonal`).
 
     A direction offset c turns the center direction v0 by c along
     `_gram_schmidt_frame(v0)` (in the plane: by the angle c), and a
@@ -250,10 +251,14 @@ def _line_net(v0: np.ndarray, a0: np.ndarray, radius: float, sep: float):
     remaining distinct direction once (`_net_directions`) and every
     candidate line from it, and drops those over the radius in the line
     metric.  The remaining candidates go to `grassmann._greedy_net`, whose
-    conflict test is `not line_distances(...) >= sep (1 - SEPARATION_TOL)`,
-    NET_BLOCK_ROWS candidates against NET_LATTICE_BLOCK / NET_BLOCK_ROWS
-    kept lines per call.  Every value is the one the candidate-at-a-time
-    form computes, bit for bit.
+    conflict test is `not line_distances(...) >= floor`, floor = sep (1 -
+    SEPARATION_TOL), NET_BLOCK_ROWS candidates against NET_LATTICE_BLOCK /
+    NET_BLOCK_ROWS kept lines per call.  A pair is decided by its
+    translation term t first: its distance is fl(proj + t) >= t, as proj
+    >= 0 and rounding is monotone, so a pair with t >= floor does not
+    conflict, and only the pairs with t below floor (or nan) are measured
+    by `line_distances`, whose t has the same bits.  Every value is the
+    one the candidate-at-a-time form computes, bit for bit.
 
     Cost, with L = (2 span + 1)^(2(d-1)) lattice points, span =
     floor(2 radius / sep), m candidates within the radius and k kept
@@ -297,9 +302,12 @@ def _line_net(v0: np.ndarray, a0: np.ndarray, radius: float, sep: float):
             near = ~(line_distances(canon, trans, v0[None], a0[None]) > limit)
             yield np.concatenate([canon[near], trans[near]], axis=1)
 
-    def conflicts(p, q):
-        return ~(line_distances(p[:, None, :d], p[:, None, d:],
-                                q[None, :, :d], q[None, :, d:]) >= floor)
+    def conflicts(p, q):  # the translation term first: fl(proj + t) >= t
+        diff = p[:, None, d:] - q[None, :, d:]
+        out = ~(np.sqrt(_row_dots(diff, diff)) >= floor)
+        i, j = np.nonzero(out)
+        out[i, j] = ~(line_distances(p[i, :d], p[i, d:], q[j, :d], q[j, d:]) >= floor)
+        return out
 
     def bands(start, stop, index):
         return [(lo, min(lo + reach, len(index))) for lo in range(0, len(index), reach)]
@@ -308,11 +316,7 @@ def _line_net(v0: np.ndarray, a0: np.ndarray, radius: float, sep: float):
     if not len(kept):  # radius below the lattice step: keep the center
         return v0[None], a0[None]
     dirs, trans = kept[:, :d].copy(), kept[:, d:].copy()
-    dots = _row_dots(trans, dirs)
-    skew = dots[np.abs(dots) > ORTHO_TOL]
-    if skew.size:
-        raise InvalidParameter("translation must be orthogonal to the direction "
-                               f"(inner product {skew[0]:.3e})")
+    _require_orthogonal(dirs, trans)
     return dirs, trans
 
 
@@ -605,22 +609,38 @@ class IntervalProfile:
 INTERSECTION_CONSTANT = 0.25
 
 
-def intersection_profile(states, line: AffineLine, delta: float) -> IntervalProfile:
+def intersection_profile(states, direction, translation, delta: float) -> IntervalProfile:
     """Count mark neighborhoods of the nearest construction line crossed.
 
-    The relevant step is the last one whose scale is still >= delta.  Each
-    crossed 5*eta_k ball contributes one interval of length about eta_k to
-    the intersection of the probe line with the step-k neighborhood set.
-    After a mark-spreading step the count is asserted to be at least
-    INTERSECTION_CONSTANT * eta_k^{-s} * eta_{k-1}.
+    The probe line is given as rows of length d: its direction, put in
+    canonical form (`grassmann._canonical_rows`; a zero or non-finite
+    direction raises InvalidParameter), and its translation, which must
+    be orthogonal to the direction within ORTHO_TOL
+    (`grassmann._require_orthogonal`).  The relevant step is the last one
+    whose scale is still >= delta; the nearest line of that step in the
+    line metric (`line_distances`) must lie within eta_k of the probe, or
+    NotInFamily is raised.  Each of its marks within 5*eta_k of the probe
+    (`_point_line_distances`) is one crossed ball, and contributes one
+    interval of length about eta_k to the intersection of the probe line
+    with the step-k neighborhood set.  After a mark-spreading step the
+    count is asserted to be at least INTERSECTION_CONSTANT * eta_k^{-s} *
+    eta_{k-1}.
     """
     ks = [k for k, st in enumerate(states) if st.eta >= delta]
     if not ks:
         raise InvalidParameter("delta is coarser than the whole trajectory")
     k = max(ks)
     state = states[k]
-    dists = line_distances(line.direction.vector[None], line.translation[None],
-                           state.family.directions, state.family.translations)
+    v = np.asarray(direction, dtype=float)
+    a = np.asarray(translation, dtype=float)
+    if v.shape != (state.d,) or a.shape != (state.d,):
+        raise InvalidParameter(
+            f"the probe's direction and translation must be rows of length {state.d}"
+        )
+    v = _canonical_rows(v[None])
+    a = a[None]
+    _require_orthogonal(v, a)
+    dists = line_distances(v, a, state.family.directions, state.family.translations)
     nearest = int(np.argmin(dists))
     if dists[nearest] > state.eta:
         raise NotInFamily(
@@ -628,7 +648,7 @@ def intersection_profile(states, line: AffineLine, delta: float) -> IntervalProf
             f"over eta_{k} = {state.eta:.3e}"
         )
     marks = state.marks[nearest]
-    crossed = line.point_distance(marks) <= 5.0 * state.eta
+    crossed = _point_line_distances(marks, v[0], a[0]) <= 5.0 * state.eta
     count = int(crossed.sum())
     if k >= 1 and state.history and state.history[-1] == OPTION_MARKS:
         prev_eta = states[k - 1].eta

@@ -1,12 +1,12 @@
 """Geometry of lines in R^d.
 
-Lines through the origin are represented by canonical unit direction
-vectors; affine lines by the unique standard form ``direction +
-translation`` with the translation orthogonal to the direction.  The
-module provides the product metric on line space (projection operator-norm
-distance between directions plus Euclidean distance between translations),
-covers of direction space at a scale, and the mesh counter used to measure
-covering numbers of line families.
+A line is held as two rows of parallel (n, d) arrays, in its unique
+standard form: a canonical unit direction (`_canonical_rows`) and a
+translation orthogonal to it (`_require_orthogonal`).  The module
+provides the product metric on line space (projection operator-norm
+distance between directions plus Euclidean distance between
+translations), covers of direction space at a scale, and the mesh counter
+used to measure covering numbers of line families.
 """
 
 import itertools
@@ -23,7 +23,6 @@ from .boxcount import (
     _float_weights,
     _pack_cells,
     _squared_norms,
-    count_distinct,
 )
 from .errors import (
     InvalidParameter,
@@ -48,85 +47,11 @@ SEPARATION_PAIR_BLOCK = 1 << 16  # candidate line pairs measured per kernel call
 _LATER = np.triu(np.ones((NET_BLOCK_ROWS, NET_BLOCK_ROWS), dtype=bool), 1)  # pairs i < j of a block
 
 
-def canonical_vector(v) -> np.ndarray:
-    """Normalize v and fix the sign so antipodal vectors coincide.
-
-    The first nonzero component is made positive; exact zeros defer the
-    decision to the next coordinate.
-    """
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not np.all(np.isfinite(v)):
-        raise InvalidParameter("direction vector must be nonzero and finite")
-    u = v / norm
-    for component in u:
-        if component != 0.0:
-            if component < 0.0:
-                u = -u
-            break
-    u = u + 0.0  # clear negative zeros left by the sign flip
-    u.setflags(write=False)
-    return u
-
-
-@dataclass(frozen=True, eq=False)
-class Direction:
-    """A line through the origin, stored as a canonical unit vector."""
-
-    vector: np.ndarray
-
-    def __init__(self, vector):
-        object.__setattr__(self, "vector", canonical_vector(vector))
-
-
-@dataclass(frozen=True, eq=False)
-class AffineLine:
-    """A line in R^d in standard form: direction plus orthogonal translation."""
-
-    direction: Direction
-    translation: np.ndarray
-
-    def __init__(self, direction, translation):
-        if not isinstance(direction, Direction):
-            direction = Direction(direction)
-        a = np.asarray(translation, dtype=float).copy()
-        if a.shape != direction.vector.shape:
-            raise InvalidParameter("translation dimension mismatch")
-        if abs(float(a @ direction.vector)) > ORTHO_TOL:
-            raise InvalidParameter(
-                "translation must be orthogonal to the direction "
-                f"(inner product {float(a @ direction.vector):.3e})"
-            )
-        a.setflags(write=False)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "translation", a)
-
-    def point_distance(self, points) -> np.ndarray:
-        """Euclidean distance from points (n, d) to this line."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _point_line_distances(pts, self.direction.vector, self.translation)
-
-
 def _point_line_distances(points: np.ndarray, v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Distance from each row of `points` (n, d) to the line a + R v: the package's one form."""
     rel = points - a
     perp = rel - np.outer(rel @ v, v)
     return np.linalg.norm(perp, axis=1)
-
-
-def standard_form(point, direction) -> AffineLine:
-    """Line through `point` with the given direction, in standard form.
-
-    The translation is the projection of the point onto the direction's
-    orthocomplement, which makes the representation unique once the
-    direction sign is canonical.
-    """
-    d = Direction(direction)
-    p = np.asarray(point, dtype=float)
-    if p.shape != d.vector.shape:
-        raise InvalidParameter("point dimension mismatch")
-    a = p - (p @ d.vector) * d.vector
-    return AffineLine(d, a)
 
 
 def projection_distance(u, v) -> float:
@@ -140,16 +65,31 @@ def projection_distance(u, v) -> float:
     return float(_projection_distances(u[None], v[None])[0])
 
 
-def metric_d1(line_a: AffineLine, line_b: AffineLine) -> float:
-    """Distance on line space: the one-row case of `line_distances`.
+def metric_d1(dir_a, trans_a, dir_b, trans_b) -> float:
+    """Distance between two lines: the one-row case of `line_distances`.
 
-    A line's distance to itself is not 0 but up to (2d + 5) 2^-53, the
+    Each line is its canonical direction row and its translation row.  A
+    line's distance to itself is not 0 but up to (2d + 5) 2^-53, the
     rounding of u . u (see `line_distances`).
     """
-    return float(line_distances(
-        line_a.direction.vector[None], line_a.translation[None],
-        line_b.direction.vector[None], line_b.translation[None],
-    )[0])
+    rows = (np.asarray(x, dtype=float)[None] for x in (dir_a, trans_a, dir_b, trans_b))
+    return float(line_distances(*rows)[0])
+
+
+def _require_orthogonal(directions: np.ndarray, translations: np.ndarray) -> None:
+    """Raise InvalidParameter unless each translation row is orthogonal to its direction row.
+
+    The rule of the standard form: |a . v| <= ORTHO_TOL, each inner
+    product a stacked dot (`_row_dots`), the bits of `a @ v`.  The message
+    gives the first skew row's inner product.
+    """
+    inner = _row_dots(translations, directions)
+    skew = np.flatnonzero(np.abs(inner) > ORTHO_TOL)
+    if skew.size:
+        raise InvalidParameter(
+            "translation must be orthogonal to the direction "
+            f"(inner product {inner[skew[0]]:.3e})"
+        )
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,7 +139,7 @@ def line_distances(dirs_a, trans_a, dirs_b, trans_b) -> np.ndarray:
 
     A line's distance to itself is not 0.  The projection term of u with
     itself is |u - fl(u . u) u|, which keeps the rounding of u . u: for a
-    unit row as `canonical_vector` makes it, |u|^2 lies within (d + 4)
+    unit row as `_canonical_rows` makes it, |u|^2 lies within (d + 4)
     2^-53 of 1 and the dot adds d 2^-53 more, so d(l, l) <= (2d + 5) 2^-53
     (1.0e-15 in d = 2, 1.2e-15 in d = 3).  Over 100,000 random rows about
     55% are nonzero, up to 5.6e-16 in d = 2 and 7.0e-16 in d = 3; no
@@ -554,12 +494,14 @@ def _candidate_directions(d: int, count: int) -> np.ndarray:
 
 
 def _canonical_rows(pts: np.ndarray) -> np.ndarray:
-    """`canonical_vector` of every row of an (n, d) array, bit for bit.
+    """Each row of an (n, d) array as a canonical unit direction.
 
-    Each row is divided by the root of its own dot product, the value
-    `np.linalg.norm` takes for one vector; the stacked (1, d) @ (d, 1)
-    product adds its terms in that order (an einsum or a column sum does
-    not).  Then every row whose first nonzero entry is negative is negated.
+    Antipodal rows coincide: each row is divided by the root of its own
+    dot product, the value `np.linalg.norm` takes for one vector (the
+    stacked (1, d) @ (d, 1) product adds its terms in that order; an einsum
+    or a column sum does not), then every row whose first nonzero entry is
+    negative is negated and negative zeros are cleared.  A zero or
+    non-finite row raises InvalidParameter.
     """
     norms = np.sqrt(_row_dots(pts, pts))
     if not (np.all(norms != 0.0) and np.all(np.isfinite(pts))):
@@ -828,18 +770,6 @@ class LineFamily:
         object.__setattr__(self, "translations", trans)
         object.__setattr__(self, "resolution_floor", float(resolution_floor))
 
-    @classmethod
-    def from_lines(cls, lines, resolution_floor):
-        dirs = np.array([ln.direction.vector for ln in lines])
-        trans = np.array([ln.translation for ln in lines])
-        if len(lines) == 0:
-            dirs = np.empty((0, 2))
-            trans = np.empty((0, 2))
-        return cls(dirs, trans, resolution_floor)
-
-    def line(self, i: int) -> AffineLine:
-        return AffineLine(Direction(self.directions[i]), self.translations[i])
-
     def __len__(self) -> int:
         return self.directions.shape[0]
 
@@ -1107,4 +1037,6 @@ def mesh_cover_count(family: LineFamily, delta: float) -> int:
     if packed is None:
         raise InvalidScale("mesh too fine to index at this scale")
     codes, span = packed
-    return count_distinct([codes], len(codes), span)
+    seen = CodeSet(len(codes), span)
+    seen.add(codes)
+    return seen.count()

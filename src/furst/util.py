@@ -1,5 +1,6 @@
 """Small shared helpers: seed splitting, boundary-safe grid indexing,
-exact nearest-pair distances, and the CSV/JSON codec every artifact uses."""
+exact nearest-pair distances, the CSV/JSON codec every artifact uses and
+the typed reads of its JSON fields."""
 
 import hashlib
 import json
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InconsistentInput, InvalidScale
+from .errors import InconsistentInput, InvalidParameter, InvalidScale
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -170,3 +171,31 @@ def write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def as_number(kind, value, name: str):
+    """kind(value), kind int or float, for a field read from JSON.
+
+    A value that kind cannot take (null, a list or object, a string that
+    is no number, an infinite float for int) raises InvalidParameter
+    naming the field, so a config or manifest of the wrong type is a user
+    error, not a crash.
+    """
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"{name} must be a number, got {value!r:.60}") from exc
+
+
+def as_numbers(kind, values, name: str) -> list:
+    """`as_number` of every entry of a JSON list (or tuple) field."""
+    if not isinstance(values, (list, tuple)):
+        raise InvalidParameter(f"{name} must be a list of numbers, got {values!r:.60}")
+    return [as_number(kind, v, name) for v in values]
+
+
+def as_object(value, name: str) -> dict:
+    """value, which must be a JSON object (a dict), or InvalidParameter naming the field."""
+    if not isinstance(value, dict):
+        raise InvalidParameter(f"{name} must be a JSON object, got {value!r:.60}")
+    return value

@@ -20,12 +20,12 @@ from .errors import (
     SoundnessViolation,
 )
 from .grassmann import (
-    ORTHO_TOL,
     LineFamily,
     _canonical_rows,
     _gram_schmidt_frame,
     _greedy_net,
     _point_line_distances,
+    _require_orthogonal,
     _row_dots,
     first_close_pair,
     mesh_assign,
@@ -409,21 +409,16 @@ def two_point_extract(
 def _require_separated_lines(family: LineFamily, delta: float):
     """Raise InvalidParameter unless every pair of lines is delta-separated.
 
-    The lines are taken as `family.line` gives them: each direction is
-    re-canonicalised (`_canonical_rows`) and each translation must be
-    orthogonal to it within ORTHO_TOL.  Every pair is checked, by
+    Each direction is re-canonicalised (`_canonical_rows`) and each
+    translation must be orthogonal to it within ORTHO_TOL
+    (`_require_orthogonal`), the standard form's rule, tighter than the
+    1e-9 a `LineFamily` accepts.  Every pair is checked, by
     `first_close_pair`, which names the lexicographically first close one:
     near-linear in the lines, so a family of any size is checked (the
     4,456 lines of the growing d = 3 schedule in about 0.05 s).
     """
     dirs = _canonical_rows(family.directions)
-    inner = _row_dots(family.translations, dirs)
-    skew = np.flatnonzero(np.abs(inner) > ORTHO_TOL)
-    if skew.size:
-        raise InvalidParameter(
-            "translation must be orthogonal to the direction "
-            f"(inner product {inner[skew[0]]:.3e})"
-        )
+    _require_orthogonal(dirs, family.translations)
     close = first_close_pair(dirs, family.translations, delta * (1 - 1e-12))
     if close is not None:
         i, j, _ = close

@@ -24,8 +24,10 @@ from furst.construct_box import (
     make_translations,
 )
 from furst.errors import InvalidParameter, ResourceCap
-from furst.grassmann import Direction, LineFamily, canonical_vector
+from furst.grassmann import LineFamily
 from furst.util import min_pairwise_distance
+
+from line_reference import canonical_vector
 
 
 def make_directions(d, count, density=0):
@@ -43,7 +45,8 @@ def make_directions(d, count, density=0):
         raise InvalidParameter("need at least one direction")
     if d < 2:
         raise InvalidParameter("ambient dimension must be >= 2")
-    base = Direction(np.eye(d)[0])
+    base = np.eye(d)[0]
+    base.setflags(write=False)
     vectors: list[np.ndarray] = []
     shells: list[tuple] = []
     for j in range(1, MAX_SHELL + 1):

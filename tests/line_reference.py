@@ -19,18 +19,75 @@ test_pigeonhole_identity.py, test_cover_identity.py,
 test_assign_identity.py, test_snap_pack_identity.py and
 test_mesh_code_identity.py compare the two.
 `snap_floor` is the package's snapping rule as it was computed before it
-snapped in place, so no reference here runs the code under test.  No
-`assert` here, so the references behave the same under python -O.
+snapped in place, so no reference here runs the code under test.
+
+`canonical_vector` canonicalises one direction at a time, the rule
+`grassmann._canonical_rows` must match bit for bit; `standard_form` and
+`affine_line` give one line as its (direction, translation) rows, the
+first by projecting a point off the direction, the second checking a
+given translation against the direction as the package's
+`_require_orthogonal` does, with the same message.  No `assert` here, so
+the references behave the same under python -O.
 """
 
 import math
 
 import numpy as np
 
+from furst import grassmann
 from furst.errors import InconsistentInput, InvalidParameter, InvalidScale
-from furst.grassmann import _gram_schmidt_frame, canonical_vector, direction_cover
+from furst.grassmann import LineFamily, _gram_schmidt_frame, direction_cover
 from furst.util import derive_seed
 from furst.verifier import THINNING_SEPARATION, ExtractionCertificate, _check_witnesses
+
+
+def canonical_vector(v) -> np.ndarray:
+    """Normalize v and fix the sign so antipodal vectors coincide.
+
+    The first nonzero component is made positive; exact zeros defer the
+    decision to the next coordinate.
+    """
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0 or not np.all(np.isfinite(v)):
+        raise InvalidParameter("direction vector must be nonzero and finite")
+    u = v / norm
+    for component in u:
+        if component != 0.0:
+            if component < 0.0:
+                u = -u
+            break
+    u = u + 0.0  # clear negative zeros left by the sign flip
+    u.setflags(write=False)
+    return u
+
+
+def standard_form(point, direction):
+    """(v, p - (p . v) v): the line through `point` along `direction`, as rows."""
+    v = canonical_vector(direction)
+    p = np.asarray(point, dtype=float)
+    return v, p - (p @ v) * v
+
+
+def affine_line(direction, translation):
+    """(v, a) with v the canonical direction, once a . v is checked.
+
+    |a . v| above ORTHO_TOL (read from `grassmann` at each call) raises
+    InvalidParameter with the package's message.
+    """
+    v = canonical_vector(direction)
+    a = np.array(translation, dtype=float)
+    inner = float(a @ v)
+    if abs(inner) > grassmann.ORTHO_TOL:
+        raise InvalidParameter(
+            f"translation must be orthogonal to the direction (inner product {inner:.3e})"
+        )
+    return v, a
+
+
+def line_family(lines, floor):
+    """The `LineFamily` of (direction, translation) row pairs."""
+    return LineFamily([v for v, _ in lines], [a for _, a in lines], floor)
 
 
 def snap_floor(values, width, snap=1e-9):

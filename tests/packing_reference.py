@@ -6,8 +6,9 @@ directions, in tuple order, plus the norm of the translation difference),
 `lex_grid`, building each candidate line with its own Gram-Schmidt frames
 and testing it against every kept line one `metric_d1` call at a time,
 `transfer_mark` moves one mark at a time, and `first_violation` measures
-every pair of lines in order.  A state's lines are read from its arrays
-as stored: an `AffineLine` would re-canonicalise the direction.  The package builds the lattice, the
+every pair of lines in order.  A line is a (direction, translation) pair
+of rows; a state's lines are read from its arrays as stored, since
+`line_reference.affine_line` would re-canonicalise the direction.  The package builds the lattice, the
 candidates and the mark transfers as arrays, measures a candidate against
 all kept lines in one `line_distances` call and checks separation by a
 cell search; test_packing_identity.py compares the two.  No `assert` here,
@@ -26,7 +27,9 @@ from furst.construct_packing import (
     line_spread_radius,
     spread_marks,
 )
-from furst.grassmann import AffineLine, Direction, _gram_schmidt_frame, canonical_vector
+from furst.grassmann import _gram_schmidt_frame
+
+from line_reference import affine_line, canonical_vector
 
 
 def projection_distance(u, v) -> float:
@@ -46,8 +49,8 @@ def line_distance(u, a, v, b) -> float:
 
 
 def metric_d1(line_a, line_b) -> float:
-    return line_distance(line_a.direction.vector, line_a.translation,
-                         line_b.direction.vector, line_b.translation)
+    """`line_distance` of two (direction, translation) pairs."""
+    return line_distance(*line_a, *line_b)
 
 
 def _perp_2d(v):
@@ -91,8 +94,8 @@ def line_net(v0, a0, radius, sep):
             a = base.copy()
             for c, f in zip(trans_off, frame_perp):
                 a = a + c * f
-        cand = AffineLine(Direction(v), a - (a @ v) * v)
-        if line_distance(cand.direction.vector, cand.translation, v0, a0) > radius * (1 + 1e-9):
+        cand = affine_line(v, a - (a @ v) * v)
+        if line_distance(*cand, v0, a0) > radius * (1 + 1e-9):
             return None
         return cand
 
@@ -108,8 +111,7 @@ def line_net(v0, a0, radius, sep):
             kept.append(cand)
     if not kept:
         return v0[None], a0[None]
-    return (np.array([ln.direction.vector for ln in kept]),
-            np.array([ln.translation for ln in kept]))
+    return np.array([v for v, _ in kept]), np.array([a for _, a in kept])
 
 
 def transfer_mark(x, old_dir, vp, p):

@@ -207,13 +207,7 @@ def test_criterion_7_packing_exponent_envelope(demo_trajectory):
 
 def test_criterion_8_two_point_dichotomy():
     # crafted fixture: two crossing lines with far-apart second endpoints
-    fam = furst.LineFamily.from_lines(
-        [
-            furst.standard_form([0, 0], [1, 0]),
-            furst.standard_form([0, 0], [0, 1]),
-        ],
-        1e-9,
-    )
+    fam = furst.LineFamily([[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)), 1e-9)
     delta, t = 0.1, 1.0
     cert = furst.two_point_extract(
         fam, np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 1.0]]), delta, t, 1

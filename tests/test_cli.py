@@ -576,6 +576,55 @@ class TestDeterminism:
         assert digests == README_PACKING_SHA256
 
 
+def packing_etas(etas):
+    return dict(PACKING_CONFIG, schedule={"mode": "demo", "etas": etas})
+
+
+# (command, config, or an edit of a box run's manifest, text of the message)
+WRONG_TYPES = [
+    ("construct-box", dict(BOX_CONFIG, M="x"), "M must be a number"),
+    ("construct-box", dict(BOX_CONFIG, t=None), "t must be a number"),
+    ("construct-box", dict(BOX_CONFIG, cantor="x"), "cantor must be a JSON object"),
+    ("construct-box", dict(BOX_CONFIG, cantor={"base": 3, "digits": "ab"}),
+     "cantor digits must be a list"),
+    ("construct-box", dict(BOX_CONFIG, seed="x"), "seed must be a number"),
+    ("construct-box", {**{k: v for k, v in BOX_CONFIG.items() if k != "cantor"}, "s": "x"},
+     "s must be a number"),
+    ("construct-packing", dict(PACKING_CONFIG, s="a"), "s must be a number"),
+    ("construct-packing", dict(PACKING_CONFIG, caps={"max_lines": "x"}),
+     "caps.max_lines must be a number"),
+    ("construct-packing", packing_etas("abc"), "schedule etas must be a list"),
+    ("construct-packing", packing_etas([1.0, None]), "schedule etas must be a number"),
+    *(
+        (command, edit, message)
+        for command in ("estimate", "verify")
+        for edit, message in (
+            (lambda m: {**m, "floors": {**m["floors"], "lines": "x"}},
+             "floors.lines must be a number"),
+            (lambda m: [m], "the manifest must be a JSON object"),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("command, payload, message", WRONG_TYPES)
+def test_wrong_typed_input_exits_1(tmp_path, capsys, command, payload, message):
+    if command.startswith("construct"):
+        out = tmp_path / "out"
+        argv = ["--config", write_config(tmp_path / "c.json", payload), "--out", str(out)]
+    else:
+        code, out = construct_box(tmp_path)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        (out / "manifest.json").write_text(json.dumps(payload(manifest)))
+        argv = ["--out", str(out)]
+    capsys.readouterr()
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert "Traceback" not in err
+
+
 def old_write_csv(path, header, rows):
     """The row-at-a-time writer `util.write_csv` replaced."""
     with open(path, "w") as fh:

@@ -6,6 +6,7 @@ import pytest
 import furst
 from furst import construct_box
 from furst.errors import InvalidParameter, InvalidScale, ResourceCap
+from furst.grassmann import _point_line_distances
 from furst.util import min_pairwise_distance
 
 THIRDS = furst.CantorSpec(3, (0, 2))
@@ -25,7 +26,7 @@ class TestDirections:
 
     def test_all_within_first_shell_distance(self):
         seq = furst.make_directions(2, 50)
-        base = seq.base.vector
+        base = seq.base
         for v in seq.vectors:
             assert furst.projection_distance(v, base) <= 2.0**-1
 
@@ -47,7 +48,7 @@ class TestDirections:
 
     def test_three_dimensional_directions(self):
         seq = furst.make_directions(3, 30)
-        base = seq.base.vector
+        base = seq.base
         norms = np.linalg.norm(seq.vectors, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
         for v in seq.vectors:
@@ -192,8 +193,8 @@ class TestBuildLines:
         fam = furst.build_lines(spec)
         expected = furst.covering_count(THIRDS, 4)
         for i in range(len(fam)):
-            line = fam.line(i)
-            near = line.point_distance(cloud.points) <= 1e-12
+            dist = _point_line_distances(cloud.points, fam.directions[i], fam.translations[i])
+            near = dist <= 1e-12
             assert near.sum() >= expected
 
     def test_containment_counts_scale(self):
@@ -202,8 +203,8 @@ class TestBuildLines:
         spec = small_spec(M=2, N=2, depth=6)
         cloud = furst.build_points(spec)
         fam = furst.build_lines(spec)
-        line = fam.line(0)
-        on_line = cloud.points[line.point_distance(cloud.points) <= 1e-12]
+        dist = _point_line_distances(cloud.points, fam.directions[0], fam.translations[0])
+        on_line = cloud.points[dist <= 1e-12]
         sub = furst.PointCloud(on_line, cloud.resolution_floor)
         delta = 2.0**-2 * 3.0**-3 * np.sqrt(2)
         assert furst.grid_count(sub, delta) >= furst.covering_count(THIRDS, 3)

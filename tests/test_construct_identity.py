@@ -83,7 +83,8 @@ def assert_same_directions(d, count, density):
     got = construct_box.make_directions(d, count, density)
     want = construct_reference.make_directions(d, count, density)
     assert_same_array(got.vectors, want.vectors)
-    assert_same_array(got.base.vector, want.base.vector)
+    assert_same_array(got.base, want.base)
+    assert not got.base.flags.writeable
     assert got.shells == want.shells
 
 

@@ -12,6 +12,8 @@ from furst.construct_packing import (
 )
 from furst.errors import DegenerateStep, InvalidParameter, NotInFamily, SoundnessViolation
 
+from line_reference import standard_form
+
 DEMO_ETAS = (1.0, 1 / 16, 1 / 256, 1 / 4096)
 # eta_{k+1} < eta_k^2, so both step factors exceed 1 for d=2, s=1/2, t=1
 GROWING_ETAS = (1.0, 1 / 16, 2.0**-10, 2.0**-24)
@@ -299,8 +301,9 @@ class TestNeighborhoodCounts:
 class TestIntersectionProfile:
     def test_construction_line_counts_its_marks(self):
         states = furst.run_alternating(2, 0.5, 1.0, demo_schedule())
-        probe = states[2].family.line(3)
-        prof = furst.intersection_profile(states, probe, DEMO_ETAS[2])
+        family = states[2].family
+        probe = family.directions[3], family.translations[3]
+        prof = furst.intersection_profile(states, *probe, DEMO_ETAS[2])
         assert prof.count == states[2].marks[3].shape[0]
         assert prof.passed
 
@@ -310,7 +313,10 @@ class TestIntersectionProfile:
         states = furst.run_alternating(
             2, 0.5, 1.0, sched, first_option=OPTION_MARKS
         )
-        prof = furst.intersection_profile(states, states[1].family.line(0), 1 / 16)
+        family = states[1].family
+        prof = furst.intersection_profile(
+            states, family.directions[0], family.translations[0], 1 / 16
+        )
         target = (1 / 16) ** -0.5
         assert target / 4 <= prof.count <= target * 4
 
@@ -319,15 +325,14 @@ class TestIntersectionProfile:
         states = furst.run_alternating(
             2, 0.5, 1.0, sched, first_option=OPTION_MARKS
         )
-        ln = states[1].family.line(0)
-        normal = np.array([-ln.direction.vector[1], ln.direction.vector[0]])
-        probe = furst.AffineLine(ln.direction, ln.translation + (1 / 32) * normal)
-        base = furst.intersection_profile(states, ln, 1 / 16)
-        moved = furst.intersection_profile(states, probe, 1 / 16)
+        v, a = states[1].family.directions[0], states[1].family.translations[0]
+        normal = np.array([-v[1], v[0]])
+        base = furst.intersection_profile(states, v, a, 1 / 16)
+        moved = furst.intersection_profile(states, v, a + (1 / 32) * normal, 1 / 16)
         assert moved.count == base.count
 
     def test_far_probe_rejected(self):
         states = furst.run_alternating(2, 0.5, 1.0, demo_schedule())
-        probe = furst.standard_form([0, 0.9], [0, 1])
+        probe = standard_form([0, 0.9], [0, 1])
         with pytest.raises(NotInFamily):
-            furst.intersection_profile(states, probe, DEMO_ETAS[3])
+            furst.intersection_profile(states, *probe, DEMO_ETAS[3])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import furst
-from furst import grassmann
+from furst import grassmann, verifier
 from furst.errors import (
     InvalidParameter,
     InvalidScale,
@@ -11,54 +11,81 @@ from furst.errors import (
     UnsupportedScale,
 )
 
+from line_reference import canonical_vector, line_family, standard_form
+
 
 def line_at(point, direction):
-    return furst.standard_form(point, direction)
+    return standard_form(point, direction)
 
 
 class TestStandardForm:
+    """Lines are rows: a canonical direction (`_canonical_rows`) and an orthogonal translation."""
+
     def test_projection_onto_y_axis(self):
-        ln = furst.standard_form([2, 3], [1, 0])
-        assert np.allclose(ln.direction.vector, [1, 0])
-        assert np.allclose(ln.translation, [0, 3])
+        # the distance from a point to a line is the norm of its orthogonal part
+        pts = np.array([[2.0, 3.0], [5.0, -1.0], [0.0, 0.0]])
+        dist = grassmann._point_line_distances(pts, np.array([1.0, 0.0]), np.zeros(2))
+        assert np.array_equal(dist, [3.0, 1.0, 0.0])
+        moved = grassmann._point_line_distances(pts, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        assert np.array_equal(moved, [1.0, 4.0, 1.0])
 
     def test_point_on_subspace(self):
-        ln = furst.standard_form([1, 1], [1, 1])
-        assert np.allclose(ln.direction.vector, np.array([1, 1]) / np.sqrt(2))
-        assert np.allclose(ln.translation, [0, 0], atol=1e-15)
+        v = grassmann._canonical_rows(np.array([[1.0, 1.0]]))[0]
+        assert np.allclose(v, np.array([1, 1]) / np.sqrt(2))
+        assert grassmann._point_line_distances(np.array([[1.0, 1.0]]), v, np.zeros(2))[0] <= 1e-15
 
     def test_antipodal_canonicalization(self):
-        ln = furst.standard_form([0, 1], [0, -1])
-        assert np.allclose(ln.direction.vector, [0, 1])
-        assert np.allclose(ln.translation, [0, 0], atol=1e-15)
+        rows = grassmann._canonical_rows(np.array([[0.0, -1.0], [-0.0, -2.0], [-3.0, 4.0]]))
+        assert np.array_equal(rows, [[0.0, 1.0], [0.0, 1.0], [0.6, -0.8]])
+        assert not np.signbit(rows[:2]).any()  # no negative zeros
 
     def test_zero_direction_rejected(self):
-        with pytest.raises(InvalidParameter):
-            furst.standard_form([1, 2], [0, 0])
+        for bad in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]):
+            with pytest.raises(InvalidParameter, match="nonzero and finite"):
+                grassmann._canonical_rows(np.array([[1.0, 0.0], bad]))
 
     def test_round_trip_contains_point(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             p = rng.uniform(-2, 2, size=3)
-            v = rng.standard_normal(3)
-            ln = furst.standard_form(p, v)
-            assert ln.point_distance(p)[0] <= 1e-10
+            v, a = standard_form(p, rng.standard_normal(3))
+            assert grassmann._point_line_distances(p[None], v, a)[0] <= 1e-10
 
     def test_canonicalization_identifies_antipodes(self):
         rng = np.random.default_rng(14)
         for _ in range(500):
-            v = rng.standard_normal(int(rng.integers(2, 5)))
-            a = furst.grassmann.canonical_vector(v)
-            b = furst.grassmann.canonical_vector(-v)
+            v = rng.standard_normal((1, int(rng.integers(2, 5))))
+            a = grassmann._canonical_rows(v)
+            b = grassmann._canonical_rows(-v)
             assert np.array_equal(a, b)
-            assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+            assert a[0] @ a[0] == pytest.approx(1.0, abs=1e-12)
+            assert np.array_equal(a[0], canonical_vector(v[0]))
+
+    @pytest.mark.parametrize("caller", ["helper", "intersection_profile", "two_point_check"])
+    def test_skew_translation_refused_at_ortho_tol(self, caller):
+        # every caller of the one rule takes |a . v| <= ORTHO_TOL; `_line_net`'s
+        # call is pinned in test_packing_state.py
+        def call(skew):
+            v, a = np.array([1.0, 0.0]), np.array([skew, 0.5])
+            if caller == "helper":
+                grassmann._require_orthogonal(v[None], a[None])
+            elif caller == "intersection_profile":
+                furst.intersection_profile([furst.initial_state(2, 0.5, 1.0)], v, a, 1.0)
+            else:
+                family = furst.LineFamily([v, [0.0, 1.0]], [a, [1.0, 0.0]], 1e-3)
+                verifier._require_separated_lines(family, 0.1)
+
+        call(grassmann.ORTHO_TOL)
+        with pytest.raises(InvalidParameter,
+                           match=r"orthogonal to the direction \(inner product 1\.000e-12\)"):
+            call(np.nextafter(grassmann.ORTHO_TOL, 1.0))
 
 
 class TestMetric:
     def test_parallel_lines(self):
         a = line_at([0, 0], [1, 0])
         b = line_at([0, 1], [1, 0])
-        assert furst.metric_d1(a, b) == pytest.approx(1.0)
+        assert furst.metric_d1(*a, *b) == pytest.approx(1.0)
 
     def test_axes_distance_matches_operator_norm(self):
         # oracle: operator norm of the explicit projection difference
@@ -67,8 +94,8 @@ class TestMetric:
         P1 = np.array([[1.0, 0.0], [0.0, 0.0]])
         P2 = np.array([[0.0, 0.0], [0.0, 1.0]])
         oracle = np.linalg.norm(P1 - P2, 2)
-        assert furst.metric_d1(a, b) == pytest.approx(oracle)
-        assert furst.metric_d1(a, b) == pytest.approx(1.0)
+        assert furst.metric_d1(*a, *b) == pytest.approx(oracle)
+        assert furst.metric_d1(*a, *b) == pytest.approx(1.0)
 
     def test_angle_pairs_against_svd_oracle(self):
         angles = np.linspace(0.0, np.pi, 13, endpoint=False)
@@ -89,11 +116,9 @@ class TestMetric:
         n = 10_000
         dirs = rng.standard_normal((3 * n, 3))
         trans = rng.uniform(-1, 1, size=(3 * n, 3))
-        lines = [
-            furst.standard_form(t, v) for t, v in zip(trans, dirs)
-        ]
-        vecs = np.array([ln.direction.vector for ln in lines])
-        offs = np.array([ln.translation for ln in lines])
+        lines = [standard_form(t, v) for t, v in zip(trans, dirs)]
+        vecs = np.array([v for v, _ in lines])
+        offs = np.array([a for _, a in lines])
         a, b, c = ((vecs[k::3].copy(), offs[k::3].copy()) for k in range(3))
         ab = grassmann.line_distances(*a, *b)
         ba = grassmann.line_distances(*b, *a)
@@ -104,13 +129,13 @@ class TestMetric:
         assert np.all(ab <= ac + cb + 1e-9)  # triangle with slack
         for i in range(0, n, 97):
             x, y, z = lines[3 * i], lines[3 * i + 1], lines[3 * i + 2]
-            assert furst.metric_d1(x, y) == ab[i]
-            assert furst.metric_d1(y, x) == ba[i]
-            assert furst.metric_d1(x, z) == ac[i]
-            assert furst.metric_d1(z, y) == cb[i]
+            assert furst.metric_d1(*x, *y) == ab[i]
+            assert furst.metric_d1(*y, *x) == ba[i]
+            assert furst.metric_d1(*x, *z) == ac[i]
+            assert furst.metric_d1(*z, *y) == cb[i]
         # identity of indiscernibles
         for ln in lines[:100]:
-            assert furst.metric_d1(ln, ln) <= 1e-12
+            assert furst.metric_d1(*ln, *ln) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_distance_to_itself_stays_within_rounding(self, d):
@@ -124,13 +149,12 @@ class TestMetric:
         assert np.all(dist <= (2 * d + 5) * 2.0**-53)
         assert np.any(dist > 0.0)  # were it 0, the docstrings would say so
         for i in range(0, 1000, 111):
-            line = furst.AffineLine(furst.Direction(vecs[i]), offs[i])
-            assert furst.metric_d1(line, line) <= (2 * d + 5) * 2.0**-53
+            assert furst.metric_d1(vecs[i], offs[i], vecs[i], offs[i]) <= (2 * d + 5) * 2.0**-53
 
     def test_distinct_lines_positive_distance(self):
         a = line_at([0, 0], [1, 0])
         b = line_at([0, 1e-7], [1, 0])
-        assert furst.metric_d1(a, b) > 0
+        assert furst.metric_d1(*a, *b) > 0
 
 
 class TestDirectionCover:
@@ -151,7 +175,7 @@ class TestDirectionCover:
         cov = furst.direction_cover(2, 0.07)
         rng = np.random.default_rng(5)
         for _ in range(500):
-            v = furst.grassmann.canonical_vector(rng.standard_normal(2))
+            v = canonical_vector(rng.standard_normal(2))
             b = cov.assign(v[None, :])[0]
             assert furst.projection_distance(v, cov.centers[b]) <= 0.07
 
@@ -160,7 +184,7 @@ class TestDirectionCover:
         assert len(cov) <= 16 * 0.25**-2
         rng = np.random.default_rng(6)
         for _ in range(200):
-            v = furst.grassmann.canonical_vector(rng.standard_normal(3))
+            v = canonical_vector(rng.standard_normal(3))
             b = cov.assign(v[None, :])[0]
             assert furst.projection_distance(v, cov.centers[b]) <= 0.25
 
@@ -199,7 +223,7 @@ class TestLineFamily:
 
 class TestMeshCoverCount:
     def fam(self, lines, floor=1e-9):
-        return furst.LineFamily.from_lines(lines, floor)
+        return line_family(lines, floor)
 
     def test_single_line(self):
         fam = self.fam([line_at([0, 0], [1, 0])])
@@ -232,7 +256,7 @@ class TestMeshCoverCount:
     def test_monotone_under_inclusion(self):
         rng = np.random.default_rng(9)
         lines = [
-            furst.standard_form(rng.uniform(-1, 1, 2), rng.standard_normal(2))
+            standard_form(rng.uniform(-1, 1, 2), rng.standard_normal(2))
             for _ in range(30)
         ]
         sub = self.fam(lines[:12])
@@ -251,7 +275,7 @@ class TestMeshCoverCount:
         rng = np.random.default_rng(2)
         crowd = self.fam(
             [
-                furst.standard_form(rng.uniform(0, 0.01, 2), [1, 0])
+                standard_form(rng.uniform(0, 0.01, 2), [1, 0])
                 for _ in range(9)
             ]
         )

@@ -269,5 +269,11 @@ def test_mesh_cover_count_both_branches():
 
 def test_count_distinct_branches():
     codes = np.array([3, 0, 3, 7, 7, 1], dtype=np.int64)
-    for span in (8, 8 * len(codes), 8 * len(codes) + 1, 2**40):
-        assert boxcount.count_distinct([codes[:4], codes[4:]], len(codes), span) == 4
+    for span, table in ((8, True), (8 * len(codes), True), (8 * len(codes) + 1, False),
+                        (2**40, False)):
+        seen = boxcount.CodeSet(len(codes), span)
+        assert (seen._table is not None) == table
+        seen.add(codes[:4])
+        seen.add(codes[4:])
+        assert seen.count() == 4
+        assert np.array_equal(seen.codes(), [0, 1, 3, 7])

@@ -24,6 +24,7 @@ from furst.errors import InvalidParameter, SoundnessViolation
 from furst.verifier import _require_separated_lines
 
 import packing_reference as ref
+from line_reference import affine_line, canonical_vector, line_family, standard_form
 
 DEMO_ETAS = (1.0, 1 / 16, 1 / 256, 1 / 4096)
 GROWING_ETAS = (1.0, 1 / 16, 2.0**-10, 2.0**-24)
@@ -107,8 +108,8 @@ def line_pairs(draw):
     if kind in ("canonical", "near") and np.all(np.any(u != 0, axis=1)) and np.all(
         np.any(v != 0, axis=1)
     ):
-        u = np.array([grassmann.canonical_vector(r) for r in u])
-        v = np.array([grassmann.canonical_vector(r) for r in v])
+        u = np.array([canonical_vector(r) for r in u])
+        v = np.array([canonical_vector(r) for r in v])
     a = rows(draw, d, n)
     b = a.copy() if draw(st.booleans()) else rows(draw, d, n)
     return u, a, v, b
@@ -134,10 +135,10 @@ def test_line_distances_match_the_scalar_metric(pair):
 def test_metric_d1_matches_reference_on_construction_lines():
     states = furst.run_alternating(3, 0.5, 2.0, schedule(GROWING_ETAS[:3]))
     family = states[-1].family
-    lines = [family.line(i) for i in range(len(family))]
+    lines = list(zip(family.directions, family.translations))
     for i in range(0, len(lines), 7):
         for j in range(len(lines)):
-            assert bits([furst.metric_d1(lines[i], lines[j])]) == bits(
+            assert bits([furst.metric_d1(*lines[i], *lines[j])]) == bits(
                 [ref.metric_d1(lines[i], lines[j])]
             )
 
@@ -152,19 +153,18 @@ def family_arrays(d, n, seed, spread, angle):
     for _ in range(n):
         v = np.eye(d)[0] + angle * rng.uniform(-1, 1, d)
         a = spread * rng.uniform(-1, 1, d)
-        lines.append(furst.standard_form(a, v))
+        lines.append(standard_form(a, v))
     return lines
 
 
 def arrays(lines):
-    return (np.array([ln.direction.vector for ln in lines]),
-            np.array([ln.translation for ln in lines]))
+    return np.array([v for v, _ in lines]), np.array([a for _, a in lines])
 
 
 def state_of(lines, eta):
     """The state of these lines, each marked at its translation."""
     return MarkedLineState.from_arrays(
-        1, eta, *arrays(lines), [ln.translation[None, :] for ln in lines], 0.5, 1.0
+        1, eta, *arrays(lines), [a[None, :] for _, a in lines], 0.5, 1.0
     )
 
 
@@ -198,7 +198,7 @@ def test_first_close_pair_matches_every_pair(d, n, seed, spread, angle):
 
 def parallel(d, translations):
     """Lines along e_1 with the given translations (zero first coordinate)."""
-    return [furst.AffineLine(np.eye(d)[0], a) for a in translations]
+    return [affine_line(np.eye(d)[0], a) for a in translations]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -245,10 +245,13 @@ def test_translations_straddling_cell_edges(d):
 def test_two_point_separation_check_matches_every_pair():
     for seed in range(6):
         lines = family_arrays(2, 40, seed, 0.2, 0.05)
-        family = furst.LineFamily.from_lines(lines, 1e-3)
+        family = line_family(lines, 1e-3)
         delta = 0.02
-        want = ref.first_violation([family.line(i) for i in range(len(family))],
-                                   delta * (1 - 1e-12))
+        # the check re-canonicalises each direction, as affine_line does
+        want = ref.first_violation(
+            [affine_line(v, a) for v, a in zip(family.directions, family.translations)],
+            delta * (1 - 1e-12),
+        )
         if want is None:
             _require_separated_lines(family, delta)
             continue
@@ -261,10 +264,10 @@ def test_two_point_separation_check_matches_every_pair():
 
 
 def test_two_point_check_refuses_a_skew_translation_as_family_line_does():
-    # within LineFamily's 1e-9 but past AffineLine's 1e-12
+    # within LineFamily's 1e-9 but past the standard form's ORTHO_TOL = 1e-12
     family = furst.LineFamily([[1.0, 0.0], [0.0, 1.0]], [[1e-10, 1.0], [1.0, 0.0]], 1e-3)
     with pytest.raises(InvalidParameter) as want:
-        family.line(0)
+        affine_line(family.directions[0], family.translations[0])
     with pytest.raises(InvalidParameter) as got:
         _require_separated_lines(family, 0.1)
     assert str(got.value) == str(want.value)

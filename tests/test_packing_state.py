@@ -4,8 +4,9 @@ A `MarkedLineState` holds one `LineFamily` and one marks array with
 per-line counts.  `write_states` and `read_states` must give back every
 direction, translation and mark bit for bit, with the same counts, k, eta
 and history.  `check_separations` must report each kind of violation with
-the message of the per-line loop it had when a state held `AffineLine`
-tuples, copied here as `tuple_state_check`.  No `assert` here: every
+the message of the per-line loop it had when a state held a tuple of
+one-row lines, copied here as `tuple_state_check` over
+`line_reference.affine_line` pairs.  No `assert` here: every
 check raises through `expect`, so these tests check the same under
 python -O.
 """
@@ -19,6 +20,8 @@ import furst
 from furst import construct_packing, grassmann
 from furst.construct_packing import SEPARATION_TOL, MarkedLineState, read_states, write_states
 from furst.errors import InvalidParameter, SoundnessViolation
+
+from line_reference import affine_line
 
 DEMO_ETAS = (1.0, 1 / 16, 1 / 256, 1 / 4096)
 GROWING_ETAS = (1.0, 1 / 16, 2.0**-10)
@@ -86,7 +89,7 @@ def test_marks_are_read_only_views_of_one_array():
            "mark_cloud takes a floor")
 
 
-# the orthogonality check of a line net against AffineLine's, kept row by kept row
+# the orthogonality check of a line net against the one-row check, kept row by kept row
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -95,12 +98,11 @@ def test_net_orthogonality_check_matches_affine_line(monkeypatch, d):
     v0, a0 = state.family.directions[-1], state.family.translations[-1]
     net = (v0, a0, construct_packing.line_spread_radius(state, 2.0**-24), 2.0**-24)
     dirs, trans = construct_packing._line_net(*net)
-    dots = [float(a @ v) for v, a in zip(dirs, trans)]  # AffineLine's test, per row
+    dots = [float(a @ v) for v, a in zip(dirs, trans)]  # affine_line's test, per row
     tol = max(abs(x) for x in dots) / 2
     expect(tol > 0.0, "some kept translation is off orthogonal by rounding")
     first = next(x for x in dots if abs(x) > tol)
     with monkeypatch.context() as m:
-        m.setattr(construct_packing, "ORTHO_TOL", tol)
         m.setattr(grassmann, "ORTHO_TOL", tol)
         try:
             construct_packing._line_net(*net)
@@ -110,12 +112,12 @@ def test_net_orthogonality_check_matches_affine_line(monkeypatch, d):
             got = None
         row = dots.index(first)
         try:
-            furst.AffineLine(grassmann.Direction(dirs[row]), trans[row])
+            affine_line(dirs[row], trans[row])
         except InvalidParameter as exc:
             want = str(exc)
     expect(got == want, f"{got!r} != {want!r}")
     with monkeypatch.context() as m:  # a dot equal to the tolerance passes
-        m.setattr(construct_packing, "ORTHO_TOL", 2 * tol)
+        m.setattr(grassmann, "ORTHO_TOL", 2 * tol)
         construct_packing._line_net(*net)
 
 
@@ -163,24 +165,22 @@ def test_spread_marks_matches_the_tuple_state_loop(d, s):
 
 
 def tuple_state_check(lines, marks, eta, tol=SEPARATION_TOL):
-    """check_separations of a state holding AffineLine tuples and per-line marks."""
+    """check_separations of a state holding (direction, translation) pairs and per-line marks."""
     floor = eta * (1.0 - tol)
     close = grassmann.first_close_pair(
-        np.array([ln.direction.vector for ln in lines]),
-        np.array([ln.translation for ln in lines]),
-        floor,
+        np.array([v for v, _ in lines]), np.array([a for _, a in lines]), floor
     )
     if close is not None:
         i, j, dist = close
         raise SoundnessViolation(f"lines {i},{j} at distance {dist:.3e} < eta {eta:.3e}")
-    for i, (line, m) in enumerate(zip(lines, marks)):
+    for i, ((v, a), m) in enumerate(zip(lines, marks)):
         if m.shape[0] < 1:
             raise SoundnessViolation(f"line {i} lost all marks")
-        off = line.point_distance(m)
+        off = grassmann._point_line_distances(np.atleast_2d(m), v, a)
         if not off.max() <= 1e-9:
             raise SoundnessViolation(f"marks strayed from line {i}")
         if m.shape[0] > 1:
-            proj = m @ line.direction.vector
+            proj = m @ v
             gaps = np.diff(np.sort(proj))
             if not gaps.min() >= floor:
                 raise SoundnessViolation(f"marks on line {i} at gap {gaps.min():.3e} < eta")
@@ -215,7 +215,7 @@ def broken(state, kind, i):
         marks[i][-1] += 1e-6 * normal(v)
     elif kind == "mark gap":  # a second mark half a scale along the line
         marks[i] = np.vstack([marks[i][:1], marks[i][:1] + 0.5 * eta * v])
-    lines = [furst.AffineLine(grassmann.Direction(a), b) for a, b in zip(dirs, trans)]
+    lines = [affine_line(a, b) for a, b in zip(dirs, trans)]
     return lines, marks
 
 
@@ -230,8 +230,8 @@ def test_each_violation_has_the_tuple_state_message(d, kind):
         expect(want is not None, f"{kind} at line {i} is a violation")
         arrays = MarkedLineState.from_arrays(
             state.k, state.eta,
-            np.array([ln.direction.vector for ln in lines]),
-            np.array([ln.translation for ln in lines]),
+            np.array([v for v, _ in lines]),
+            np.array([a for _, a in lines]),
             marks, state.s, state.t, state.history,
         )
         got = message(arrays.check_separations)
@@ -242,7 +242,8 @@ def test_each_violation_has_the_tuple_state_message(d, kind):
 @pytest.mark.parametrize("etas", [DEMO_ETAS, GROWING_ETAS], ids=["demo", "growing"])
 def test_constructed_states_pass_both_checks(d, etas):
     for state in trajectory(d, etas)[1]:
-        lines = [state.family.line(i) for i in range(state.num_lines)]
+        lines = [affine_line(v, a)
+                 for v, a in zip(state.family.directions, state.family.translations)]
         expect(message(lambda: tuple_state_check(lines, state.marks, state.eta)) is None,
                f"state {state.k} passes the tuple-state loop")
         expect(message(state.check_separations) is None, f"state {state.k} passes")
@@ -257,8 +258,8 @@ def test_gap_test_decides_on_the_per_line_products(d):
     rng = np.random.default_rng(d)
     outcomes = set()
     for v, a in zip(final.family.directions, final.family.translations):
-        line = furst.AffineLine(grassmann.Direction(v), a)
-        v = line.direction.vector
+        line = affine_line(v, a)
+        v = line[0]
         for x in rng.uniform(-0.5, 0.5, 20):
             marks = [a + (x + floor * np.arange(3))[:, None] * v]
             want = message(lambda: tuple_state_check([line], marks, final.eta))

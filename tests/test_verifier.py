@@ -12,6 +12,8 @@ from furst.errors import (
     InvalidWitness,
 )
 
+from line_reference import affine_line, line_family, standard_form
+
 THIRDS = furst.CantorSpec(3, (0, 2))
 
 
@@ -19,9 +21,9 @@ def parallel_fixture(K, delta, gap=8.0):
     """K horizontal lines with translations gap*delta apart, each through
     one cloud point."""
     lines = [
-        furst.standard_form([0.3, i * gap * delta], [1, 0]) for i in range(K)
+        standard_form([0.3, i * gap * delta], [1, 0]) for i in range(K)
     ]
-    fam = furst.LineFamily.from_lines(lines, 1e-9)
+    fam = line_family(lines, 1e-9)
     pts = np.array([[0.3, i * gap * delta] for i in range(K)])
     return fam, furst.PointCloud(pts, 1e-9)
 
@@ -75,28 +77,25 @@ class TestPigeonhole:
             angles = rng.uniform(0, np.pi / 2, size=K)
             offs = rng.uniform(-1, 1, size=K)
             lines = [
-                furst.AffineLine(
-                    furst.Direction([np.cos(a), np.sin(a)]),
-                    o * np.array([-np.sin(a), np.cos(a)]),
-                )
+                affine_line([np.cos(a), np.sin(a)], o * np.array([-np.sin(a), np.cos(a)]))
                 for a, o in zip(angles, offs)
             ]
             pts = np.array(
                 [
-                    ln.translation + rng.uniform(-1, 1) * ln.direction.vector
-                    for ln in lines
+                    a + rng.uniform(-1, 1) * v
+                    for v, a in lines
                 ]
             )
             delta = float(rng.uniform(0.02, 0.2))
             ksub = int(rng.integers(1, K))
             sub = furst.pigeonhole_extract(
-                furst.LineFamily.from_lines(lines[:ksub], 1e-9),
+                line_family(lines[:ksub], 1e-9),
                 furst.PointCloud(pts[:ksub], 1e-9),
                 delta,
                 tol=1e-9,
             ).bound
             full = furst.pigeonhole_extract(
-                furst.LineFamily.from_lines(lines, 1e-9),
+                line_family(lines, 1e-9),
                 furst.PointCloud(pts, 1e-9),
                 delta,
                 tol=1e-9,
@@ -117,10 +116,10 @@ class TestPigeonhole:
 
 class TestTwoPoint:
     def crossing_fixture(self):
-        fam = furst.LineFamily.from_lines(
+        fam = line_family(
             [
-                furst.standard_form([0, 0], [1, 0]),
-                furst.standard_form([0, 0], [0, 1]),
+                standard_form([0, 0], [1, 0]),
+                standard_form([0, 0], [0, 1]),
             ],
             1e-9,
         )
@@ -141,9 +140,9 @@ class TestTwoPoint:
         K = 12
         delta = 0.05
         lines = [
-            furst.standard_form([0.0, 0.21 * i], [1, 0]) for i in range(K)
+            standard_form([0.0, 0.21 * i], [1, 0]) for i in range(K)
         ]
-        fam = furst.LineFamily.from_lines(lines, 1e-9)
+        fam = line_family(lines, 1e-9)
         x = np.array([[0.0, 0.21 * i] for i in range(K)])
         y = np.array([[1.0, 0.21 * i] for i in range(K)])
         cert = furst.two_point_extract(fam, x, y, delta, 1.0, 1)
@@ -152,8 +151,8 @@ class TestTwoPoint:
         assert cert.bound <= K
 
     def test_single_line(self):
-        fam = furst.LineFamily.from_lines(
-            [furst.standard_form([0, 0], [1, 0])], 1e-9
+        fam = line_family(
+            [standard_form([0, 0], [1, 0])], 1e-9
         )
         cert = furst.two_point_extract(
             fam, [[0.0, 0.0]], [[1.0, 0.0]], 0.1, 1.0, 1
@@ -196,10 +195,10 @@ class TestTwoPoint:
 
     def test_unseparated_lines_rejected(self):
         lines = [
-            furst.standard_form([0, 0], [1, 0]),
-            furst.standard_form([0, 1e-4], [1, 0]),
+            standard_form([0, 0], [1, 0]),
+            standard_form([0, 1e-4], [1, 0]),
         ]
-        fam = furst.LineFamily.from_lines(lines, 1e-9)
+        fam = line_family(lines, 1e-9)
         x = np.zeros((2, 2))
         y = np.array([[1.0, 0.0], [1.0, 1e-4]])
         with pytest.raises(InvalidParameter):
@@ -232,8 +231,8 @@ class TestTwoPoint:
         # horizontal lines 1 apart, with x points as given and y points far
         # from them and from each other, so thinning keeps every y point
         K = len(x)
-        fam = furst.LineFamily.from_lines(
-            [furst.standard_form([0.0, float(i)], [1, 0]) for i in range(K)], 1e-9
+        fam = line_family(
+            [standard_form([0.0, float(i)], [1, 0]) for i in range(K)], 1e-9
         )
         y = np.column_stack([np.full(K, 10.0), np.arange(K, dtype=float)])
         return fam, np.asarray(x, dtype=float), y
