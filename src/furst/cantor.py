@@ -12,7 +12,7 @@ from math import log
 import numpy as np
 
 from .errors import InvalidParameter, ResourceCap, UnsupportedScale
-from .util import as_number, as_numbers, as_object
+from .util import as_number, as_numbers, as_object, required
 
 DEFAULT_POINT_CAP = 5_000_000
 
@@ -51,8 +51,8 @@ class CantorSpec:
     @classmethod
     def from_config(cls, cfg: dict) -> "CantorSpec":
         cfg = as_object(cfg, "cantor")
-        return cls(as_number(int, cfg["base"], "cantor base"),
-                   as_numbers(int, cfg["digits"], "cantor digits"))
+        return cls(as_number(int, required(cfg, "base", "cantor"), "cantor base"),
+                   as_numbers(int, required(cfg, "digits", "cantor"), "cantor digits"))
 
 
 def covering_count(spec: CantorSpec, k: int) -> int:

@@ -37,7 +37,7 @@ from .construct_packing import (
 )
 from .errors import FurstError, InconsistentInput, InvalidParameter, ResourceCap, SoundnessViolation
 from .grassmann import LineFamily, mesh_cover_count
-from .util import as_number, as_object, read_csv, read_json, write_csv, write_json
+from .util import as_number, as_object, read_csv, read_json, required, write_csv, write_json
 from .verifier import dimension_thresholds, pigeonhole_extract, two_point_extract
 
 EXIT_OK = 0
@@ -85,7 +85,7 @@ def cmd_construct_box(config: dict, out: Path) -> int:
 
 
 def cmd_construct_packing(config: dict, out: Path) -> int:
-    schedule = ScaleSchedule.from_config(config["schedule"])
+    schedule = ScaleSchedule.from_config(required(config, "schedule"))
     K = as_number(int, config.get("K", schedule.steps), "K")
     if K > schedule.steps:
         raise InvalidParameter(f"K = {K} exceeds the schedule's {schedule.steps} steps")
@@ -93,9 +93,9 @@ def cmd_construct_packing(config: dict, out: Path) -> int:
     caps = as_object(config.get("caps", {}), "caps")
     first = config.get("first", OPTION_LINES)
     states = run_alternating(
-        as_number(int, config["d"], "d"),
-        as_number(float, config["s"], "s"),
-        as_number(float, config["t"], "t"),
+        as_number(int, required(config, "d"), "d"),
+        as_number(float, required(config, "s"), "s"),
+        as_number(float, required(config, "t"), "t"),
         schedule,
         first_option=first,
         max_lines=as_number(int, caps.get("max_lines", DEFAULT_MAX_LINES), "caps.max_lines"),

@@ -19,7 +19,7 @@ from .boxcount import COUNT_BLOCK_ROWS, PointCloud, grid_count
 from .cantor import CantorSpec
 from .errors import InvalidParameter, InvalidScale, ResourceCap
 from .grassmann import LineFamily, _canonical_rows
-from .util import as_number, as_object, min_pairwise_distance
+from .util import as_number, as_object, min_pairwise_distance, required
 
 DEFAULT_MAX_POINTS = 20_000_000
 MAX_SHELL = 64
@@ -109,7 +109,8 @@ class BoxSharpSpec:
             raise InvalidParameter("config needs either 'cantor' or 's'")
 
         def number(kind, key, default=None):
-            return as_number(kind, cfg[key] if default is None else cfg.get(key, default), key)
+            value = required(cfg, key) if default is None else cfg.get(key, default)
+            return as_number(kind, value, key)
 
         return cls(
             d=number(int, "d"),
@@ -300,21 +301,32 @@ def make_translations(d: int, beta: float, count: int) -> TranslationSequence:
     return TranslationSequence(vecs, beta)
 
 
-def _pair_order(M: int, N: int):
-    """(m, n) index arrays, 1-based, sorted by m+n then m: coarse first.
+def _pair_blocks(M: int, N: int, block: int):
+    """Yield (rows, m, n) for the 1-based pairs sorted by m+n then m, `block` at a time.
 
-    Walks the diagonals s = m + n upwards with no sort: diagonal s starts
-    at m = max(1, s - N) and holds min(M, s - 1) - max(1, s - N) + 1
-    pairs, in increasing m.
+    rows is the slice of pair positions the block covers; m and n are its
+    int64 index arrays.  Diagonal s = m + n starts at m = max(1, s - N) and
+    holds min(M, s - 1) - max(1, s - N) + 1 pairs, in increasing m.  Only
+    those M + N - 1 starts and counts are held: one searchsorted finds the
+    diagonals holding a block's first and last pair, and a repeat over
+    the diagonals between gives its pairs, so no array of M * N entries
+    is built.
     """
     s = np.arange(2, M + N + 1)
     first = np.maximum(1, s - N)
     count = np.minimum(M, s - 1) - first + 1
-    m = np.repeat(first - (np.cumsum(count) - count), count)
-    m += np.arange(M * N)
-    n = np.repeat(s, count)
-    n -= m
-    return m, n
+    ends = np.cumsum(count)
+    offset = first - (ends - count)  # m minus the pair's position, per diagonal
+    for lo in range(0, M * N, block):
+        hi = min(lo + block, M * N)
+        a, b = np.searchsorted(ends, (lo, hi - 1), side="right")
+        # the block's pairs on diagonals a..b: each ends at min(end, hi)
+        taken = np.diff(np.minimum(ends[a : b + 1], hi), prepend=lo)
+        m = np.repeat(offset[a : b + 1], taken)
+        m += np.arange(lo, hi)
+        n = np.repeat(s[a : b + 1], taken)
+        n -= m
+        yield slice(lo, hi), m, n
 
 
 # 2^-j for j = 0, ..., 1075; exp2 gives 0.0 from j = 1075 on, so a lookup
@@ -357,10 +369,10 @@ def build_points(spec: BoxSharpSpec) -> PointCloud:
     The resolution floor is 4x the finest generated scale.
 
     Cost: one pass over the K pairs (K = N collapsed, M * N otherwise),
-    COUNT_BLOCK_ROWS pairs at a time; each block gathers its directions
-    and translations and writes its points straight into the cloud's
-    array, which the cloud keeps without a copy.  Peak memory: the output,
-    two int64 index arrays of K entries and one block's temporaries.
+    COUNT_BLOCK_ROWS pairs at a time from `_pair_blocks`; each block
+    gathers its directions and translations and writes its points straight
+    into the cloud's array, which the cloud keeps without a copy.  Peak
+    memory: the output and one block's index arrays and temporaries.
     """
     total = spec.cardinality()
     if total > spec.max_points:
@@ -371,23 +383,18 @@ def build_points(spec: BoxSharpSpec) -> PointCloud:
     endpoints = cantor.points_at_depth(spec.cantor, spec.depth)
     dirs = make_directions(spec.d, spec.N, spec.dir_density)
     if spec.collapsed:
-        m_idx, n_idx = None, np.arange(1, spec.N + 1)
-        log2_floor = 2.0 - spec.N - spec.depth * np.log2(spec.cantor.base)
+        # the pairs (1, n), n = 1..N: copy n has scale 2^-n and no translation
+        trans, M, log2_floor = None, 1, 2.0 - spec.N
     else:
         trans = make_translations(spec.d, spec.beta, spec.M)
-        m_idx, n_idx = _pair_order(spec.M, spec.N)
-        log2_floor = (
-            2.0 - spec.M - spec.N - spec.depth * np.log2(spec.cantor.base)
-        )
-    out = np.empty((n_idx.size, endpoints.size, spec.d))
-    for start in range(0, n_idx.size, COUNT_BLOCK_ROWS):
-        rows = slice(start, start + COUNT_BLOCK_ROWS)
-        n = n_idx[rows]
+        M, log2_floor = spec.M, 2.0 - spec.M - spec.N
+    log2_floor -= spec.depth * np.log2(spec.cantor.base)
+    out = np.empty((M * spec.N, endpoints.size, spec.d))
+    for rows, m, n in _pair_blocks(M, spec.N, COUNT_BLOCK_ROWS):
         v = dirs.vectors.take(n - 1, axis=0)
-        if m_idx is None:
+        if trans is None:
             exponent, u = n, None
         else:
-            m = m_idx[rows]
             exponent, u = m + n, trans.vectors.take(m - 1, axis=0)
         scale = _POWERS_OF_HALF.take(exponent, mode="clip")
         _place_copies(out[rows], scale, endpoints, v, u)
@@ -404,11 +411,11 @@ def build_lines(spec: BoxSharpSpec) -> LineFamily:
     dimension target is t = (d - 1) + beta.  The resolution floor is 4x
     the finest structural gap (direction net spacing or translation gap).
 
-    Cost: one pass over the M * N pairs, COUNT_BLOCK_ROWS pairs at a time;
-    each block gathers its directions and translations straight into the
-    family's arrays and projects the translations in place, and the family
-    keeps the arrays without a copy.  Peak memory: the two outputs, two
-    int64 index arrays of M * N entries and one block's temporaries.
+    Cost: one pass over the M * N pairs, COUNT_BLOCK_ROWS pairs at a time
+    from `_pair_blocks`; each block gathers its directions and translations
+    straight into the family's arrays and projects the translations in
+    place, and the family keeps the arrays without a copy.  Peak memory:
+    the two outputs and one block's index arrays and temporaries.
     """
     dirs = make_directions(spec.d, spec.N, spec.dir_density)
     dir_gap = min(sp for _, sp, _ in dirs.shells if sp > 0.0) if any(
@@ -423,14 +430,12 @@ def build_lines(spec: BoxSharpSpec) -> LineFamily:
             directions, np.zeros_like(directions), min(floor, 1.0)
         )
     trans = make_translations(spec.d, spec.beta, spec.M)
-    m_idx, n_idx = _pair_order(spec.M, spec.N)
-    directions = np.empty((n_idx.size, spec.d))
+    directions = np.empty((spec.M * spec.N, spec.d))
     translations = np.empty_like(directions)
-    for start in range(0, n_idx.size, COUNT_BLOCK_ROWS):
-        rows = slice(start, start + COUNT_BLOCK_ROWS)
+    for rows, m, n in _pair_blocks(spec.M, spec.N, COUNT_BLOCK_ROWS):
         v, u = directions[rows], translations[rows]
-        dirs.vectors.take(n_idx[rows] - 1, axis=0, out=v)
-        trans.vectors.take(m_idx[rows] - 1, axis=0, out=u)
+        dirs.vectors.take(n - 1, axis=0, out=v)
+        trans.vectors.take(m - 1, axis=0, out=u)
         along = np.einsum("ij,ij->i", u, v)
         u -= along[:, None] * v
     floor = 4.0 * min(dir_gap, 0.5 * min_pairwise_distance(trans.vectors))

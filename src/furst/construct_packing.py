@@ -51,7 +51,7 @@ from .grassmann import (
     line_distances,
     mesh_cover_count,
 )
-from .util import as_numbers, as_object, read_json, write_json
+from .util import as_numbers, as_object, read_json, required, write_json
 
 SEPARATION_TOL = 1e-12
 # absorbs the 5-eta neighborhood dilation and grid bracketing in the
@@ -115,7 +115,8 @@ class ScaleSchedule:
     @classmethod
     def from_config(cls, cfg: dict) -> "ScaleSchedule":
         cfg = as_object(cfg, "schedule")
-        return cls(as_numbers(float, cfg["etas"], "schedule etas"), cfg.get("mode", "strict"))
+        etas = as_numbers(float, required(cfg, "etas", "schedule"), "schedule etas")
+        return cls(etas, cfg.get("mode", "strict"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +389,29 @@ def spread_lines(state: MarkedLineState, eta_next: float) -> MarkedLineState:
     return out
 
 
-def spread_marks(state: MarkedLineState, eta_next: float) -> MarkedLineState:
+def _least_kept(lowest: np.ndarray, reach: float, n_off: int, eta_next: float) -> np.ndarray:
+    """Lower bounds on the marks `spread_marks` keeps per line, in floats.
+
+    `lowest` holds each line's smallest position p.  Its run x_k =
+    fl(p + fl(k eta)), |k| <= n_off, spans S >= 2 n_off eta - 2u with
+    steps at most eta + 2u, where u, twice the float spacing at |p| +
+    reach, bounds each mark's rounding with room for that sum's own.  The
+    re-thinning keeps the run's first mark, and while a kept mark lies a
+    threshold g <= eta short of the run's last one the next kept mark lies
+    within g + eta + 2u of it: so at least 2 + floor((S - g) / (2 eta + 2u))
+    marks when S >= g, and 1 otherwise.  That is n_off + 1 when u is
+    negligible; where eta_next is below the float spacing of p the runs
+    collapse and the bound is 1.  The bound is taken a hair low, as its
+    own arithmetic rounds.
+    """
+    r = 2.0 * np.spacing(np.abs(lowest) + reach) / eta_next
+    q = (2.0 * n_off - 1.0 - 2.0 * r) / (2.0 + 2.0 * r) * (1.0 - 1e-9)
+    return np.where(q >= 0.0, np.floor(q) + 2.0, 1.0)
+
+
+def spread_marks(
+    state: MarkedLineState, eta_next: float, max_marks: int | None = None
+) -> MarkedLineState:
     """Replace every mark by a separated run of collinear marks.
 
     Lines are unchanged; each mark becomes the arithmetic run of spacing
@@ -396,15 +419,28 @@ def spread_marks(state: MarkedLineState, eta_next: float) -> MarkedLineState:
     (the greedy lattice net along the line).  Runs of adjacent marks are
     re-thinned at eta_next where they touch.  Positions are marks_i @ v_i,
     one product per line, as a stacked form rounds differently.
+
+    With `max_marks`, a step that must keep more marks than that
+    (`_least_kept`, about n_off + 1 a line) raises ResourceCap before any
+    run is built: a fine eta_next can ask for more offsets than an array
+    can hold.
     """
     _check_step(state, eta_next)
     reach = mark_spread_radius(state, eta_next)
     n_off = int(math.floor(reach / eta_next + 1e-12))
-    offsets = np.arange(-n_off, n_off + 1) * eta_next
     dirs, trans = state.family.directions, state.family.translations
+    per_line = [np.sort(marks @ v) for v, marks in zip(dirs, state.marks)]
+    if max_marks is not None:
+        lowest = np.array([positions[0] for positions in per_line])
+        least = float(_least_kept(lowest, reach, n_off, eta_next).sum())
+        if least > max_marks:
+            raise ResourceCap(
+                f"step {state.k + 1} would exceed caps (at least {least:.3g} "
+                f"marks, over max_marks = {max_marks})"
+            )
+    offsets = np.arange(-n_off, n_off + 1) * eta_next
     new_marks: list[np.ndarray] = []
-    for v, a, marks in zip(dirs, trans, state.marks):
-        positions = np.sort(marks @ v)
+    for v, a, positions in zip(dirs, trans, per_line):
         spread = (positions[:, None] + offsets[None, :]).ravel()
         spread.sort()
         kept = [spread[0]]
@@ -468,8 +504,10 @@ def run_alternating(
             if k % 2 == 0
             else (OPTION_MARKS if first_option == OPTION_LINES else OPTION_LINES)
         )
-        step = spread_lines if option == OPTION_LINES else spread_marks
-        state = step(states[-1], schedule.etas[k + 1])
+        if option == OPTION_LINES:
+            state = spread_lines(states[-1], schedule.etas[k + 1])
+        else:
+            state = spread_marks(states[-1], schedule.etas[k + 1], max_marks)
         if state.num_lines > max_lines or state.num_marks > max_marks:
             raise ResourceCap(
                 f"step {k + 1} would exceed caps "

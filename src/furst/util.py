@@ -194,6 +194,13 @@ def as_numbers(kind, values, name: str) -> list:
     return [as_number(kind, v, name) for v in values]
 
 
+def required(obj: dict, key: str, name: str = "config"):
+    """obj[key], or InvalidParameter saying that `name` lacks the field."""
+    if key not in obj:
+        raise InvalidParameter(f"{name} is missing the required field {key!r}")
+    return obj[key]
+
+
 def as_object(value, name: str) -> dict:
     """value, which must be a JSON object (a dict), or InvalidParameter naming the field."""
     if not isinstance(value, dict):

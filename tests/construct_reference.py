@@ -6,9 +6,9 @@
 every point with one (K, P, d) broadcast, and `build_lines` gathers every
 pair's direction and translation by fancy indexing and projects them
 array-wide; both hand their arrays to the public constructors, which copy
-and check them.  The package walks the diagonals in closed form, builds
-both outputs in place, a block of pairs at a time, and hands them over
-without a copy; test_construct_identity.py compares the two.  No `assert`
+and check them.  The package walks the diagonals in closed form and
+builds both outputs in place, a block of pairs at a time, and hands them
+over without a copy; test_construct_identity.py compares the two.  No `assert`
 here, so the references behave the same under python -O.
 """
 

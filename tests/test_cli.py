@@ -182,6 +182,20 @@ class TestConstruct:
         assert main(["estimate", "--out", str(out)]) == 2
         assert "candidate directions, above the cap" in capsys.readouterr().err
 
+    def test_unbuildable_marks_step_exits_2(self, tmp_path, capsys):
+        # the marks step at 1e-300 would spread each mark over about 3e148
+        # offsets; the marks it must keep pass max_marks, so it is refused
+        # before any offset is built
+        cfg = dict(PACKING_CONFIG)
+        cfg["schedule"] = {"mode": "demo", "etas": [1.0, 1 / 16, 1e-300]}
+        cfg_path = write_config(tmp_path / "fine.json", cfg)
+        out = tmp_path / "fine"
+        assert main(["construct-packing", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "step 2 would exceed caps" in err and "max_marks = 500000" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_tiny_packing_scale_estimate_exits_1(self, tmp_path, capsys):
         # a planar cover at 1e-300 would need about 3e300 buckets
         cfg = dict(PACKING_CONFIG, s=0.0, t=0.0)
@@ -623,6 +637,34 @@ def test_wrong_typed_input_exits_1(tmp_path, capsys, command, payload, message):
     err = capsys.readouterr().err
     assert message in err, err
     assert "Traceback" not in err
+
+
+def without(config, key, part=None):
+    """config without `key`, or with `key` dropped from its `part` object."""
+    if part is None:
+        return {k: v for k, v in config.items() if k != key}
+    return dict(config, **{part: without(config[part], key)})
+
+
+# (command, config, the field the message names)
+MISSING_FIELDS = [
+    ("construct-box", without(BOX_CONFIG, "M"), "config", "M"),
+    ("construct-box", without(BOX_CONFIG, "t"), "config", "t"),
+    ("construct-box", without(BOX_CONFIG, "base", "cantor"), "cantor", "base"),
+    ("construct-packing", without(PACKING_CONFIG, "schedule"), "config", "schedule"),
+    ("construct-packing", without(PACKING_CONFIG, "etas", "schedule"), "schedule", "etas"),
+    ("construct-packing", without(PACKING_CONFIG, "d"), "config", "d"),
+]
+
+
+@pytest.mark.parametrize("command, config, holder, field", MISSING_FIELDS,
+                         ids=[f"{c}-{h}.{f}" for c, _, h, f in MISSING_FIELDS])
+def test_missing_field_exits_1(tmp_path, capsys, command, config, holder, field):
+    argv = ["--config", write_config(tmp_path / "c.json", config), "--out", str(tmp_path / "out")]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{holder} is missing the required field '{field}'" in err, err
+    assert "KeyError" not in err and "Traceback" not in err
 
 
 def old_write_csv(path, header, rows):

@@ -1,15 +1,17 @@
 """The box builders equal their plain forms, and the ownership path checks as __init__ does.
 
-`build_points` and `build_lines` walk the (m, n) pairs in closed form and
-write their outputs in place, a block of pairs at a time; the clouds and
+`build_points` and `build_lines` walk the (m, n) pairs in closed form, a
+block at a time, and write their outputs in place; the clouds and
 families they return keep those arrays without a copy.  `construct_reference`
 holds the forms that sort the pairs and build every array at once.  Outputs
 must agree in bytes, shape, dtype and resolution floor, and the no-copy
 constructors must reject what `__init__` rejects, with the same error.
-These tests also run under python -O.
+The builders' traced peak is their outputs and a few blocks.  These tests
+also run under python -O.
 """
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -58,22 +60,45 @@ def assert_same_array(got, want):
 # ------------------------------------------------------------- pair order
 
 
-def assert_same_pair_order(M, N):
-    got = construct_box._pair_order(M, N)
-    want = construct_reference.pair_order(M, N)
-    for g, w in zip(got, want):
-        assert_same_array(g, w)
+BLOCK_SIZES = (1, 7, boxcount.COUNT_BLOCK_ROWS)
+
+
+def assert_same_pair_order(M, N, block):
+    """The generator's blocks are consecutive `block`-pair slices of the lexsort order."""
+    blocks = list(construct_box._pair_blocks(M, N, block))
+    K = M * N
+    assert [rows for rows, _, _ in blocks] == [
+        slice(lo, min(lo + block, K)) for lo in range(0, K, block)
+    ]
+    want_m, want_n = construct_reference.pair_order(M, N)
+    assert_same_array(np.concatenate([m for _, m, _ in blocks]), want_m)
+    assert_same_array(np.concatenate([n for _, _, n in blocks]), want_n)
 
 
 @pytest.mark.parametrize("M,N", [(2000, 2048), (8, 8), (64, 64), (1, 5), (7, 1), (3, 11)])
 def test_pair_order_matches_lexsort(M, N):
-    assert_same_pair_order(M, N)
+    # small blocks cost a Python step per few pairs: over 4 M pairs, only the default
+    for block in BLOCK_SIZES if M * N <= 4096 else BLOCK_SIZES[-1:]:
+        assert_same_pair_order(M, N, block)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 64), st.integers(1, 64))
-def test_pair_order_matches_lexsort_any_shape(M, N):
-    assert_same_pair_order(M, N)
+@given(st.integers(1, 64), st.integers(1, 64),
+       st.one_of(st.sampled_from(BLOCK_SIZES), st.integers(2, 5000)))
+def test_pair_order_matches_lexsort_any_shape(M, N, block):
+    assert_same_pair_order(M, N, block)
+
+
+def test_pair_blocks_split_diagonals_and_end_short():
+    # 15 pairs in 7-pair blocks: the first block ends inside diagonal
+    # m + n = 5, the second inside m + n = 7, the last holds one pair
+    blocks = [(rows, list(zip(m.tolist(), n.tolist())))
+              for rows, m, n in construct_box._pair_blocks(3, 5, 7)]
+    assert blocks == [
+        (slice(0, 7), [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (1, 4)]),
+        (slice(7, 14), [(2, 3), (3, 2), (1, 5), (2, 4), (3, 3), (2, 5), (3, 4)]),
+        (slice(14, 15), [(3, 5)]),
+    ]
 
 
 # ------------------------------------------------------------- directions
@@ -145,6 +170,30 @@ def test_builders_match_reference_across_block_edges(name):
     # and a last block of one pair for "d2-edges"
     with mock.patch.object(construct_box, "COUNT_BLOCK_ROWS", 7):
         assert_same_construction(make_spec(SPECS[name]))
+
+
+# a 1024 x 1024 spec: two int64 index arrays of its pairs would take 16 MiB
+PEAK_SPEC = dict(d=2, t=1.5, M=1024, N=1024, depth=1)
+# a few blocks' temporaries: 32 int64 vectors of COUNT_BLOCK_ROWS entries, 4 MiB
+BLOCK_ALLOWANCE = 32 * boxcount.COUNT_BLOCK_ROWS * 8
+
+
+@pytest.mark.parametrize("build, outputs", [
+    (furst.build_points, lambda cloud: [cloud.points]),
+    (furst.build_lines, lambda family: [family.directions, family.translations]),
+], ids=["points", "lines"])
+def test_builders_peak_at_their_outputs(build, outputs):
+    # the traced peak is the outputs and a few blocks, no array of M * N pairs
+    spec = make_spec(PEAK_SPEC)
+    tracemalloc.start()
+    try:
+        result = build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(array.nbytes for array in outputs(result))
+    assert held == 2**25
+    assert peak <= held + BLOCK_ALLOWANCE, (peak - held) / 2**20
 
 
 def test_builders_keep_the_cap():

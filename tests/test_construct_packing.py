@@ -218,6 +218,24 @@ class TestRunAlternating:
                 2, 0.5, 1.0, demo_schedule(), max_lines=4
             )
 
+    def test_marks_cap_refuses_before_the_step(self):
+        # step 2 of the growing schedule keeps 48 marks on 16 lines; each
+        # run reaches one spacing, so at least 2 marks a line are kept
+        sched = furst.ScaleSchedule(GROWING_ETAS[:3], mode="demo")
+        with pytest.raises(furst.errors.ResourceCap, match=r"at least 32 marks"):
+            furst.run_alternating(2, 0.5, 1.0, sched, max_marks=31)
+        with pytest.raises(furst.errors.ResourceCap, match=r"\(16 lines, 48 marks\)"):
+            furst.run_alternating(2, 0.5, 1.0, sched, max_marks=47)
+        assert furst.run_alternating(2, 0.5, 1.0, sched, max_marks=48)[-1].num_marks == 48
+
+    def test_marks_cap_bound_holds_where_runs_collapse(self):
+        # at 1e-200 a run of 7 offsets rounds to one value on the 11 lines
+        # whose mark is off the origin: 5 * 7 + 11 = 46 marks are kept,
+        # fewer than 16 lines * 4, and the step must still run under a cap of 46
+        sched = furst.ScaleSchedule((1.0, 1 / 16, 1e-200), mode="demo")
+        states = furst.run_alternating(2, 0.01, 1.0, sched, max_marks=46)
+        assert (states[-1].num_lines, states[-1].num_marks) == (16, 46)
+
     def test_strict_schedule_trajectory(self):
         # the full decay condition, two steps deep
         sched = furst.ScaleSchedule((1.0, 1 / 16, 2.0**-16), mode="strict")
