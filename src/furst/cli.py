@@ -87,8 +87,8 @@ def cmd_construct_box(config: dict, out: Path) -> int:
 def cmd_construct_packing(config: dict, out: Path) -> int:
     schedule = ScaleSchedule.from_config(required(config, "schedule"))
     K = as_number(int, config.get("K", schedule.steps), "K")
-    if K > schedule.steps:
-        raise InvalidParameter(f"K = {K} exceeds the schedule's {schedule.steps} steps")
+    if not 0 <= K <= schedule.steps:
+        raise InvalidParameter(f"K = {K} must lie in [0, {schedule.steps}], the schedule's steps")
     schedule = ScaleSchedule(schedule.etas[: K + 1], schedule.mode)
     caps = as_object(config.get("caps", {}), "caps")
     first = config.get("first", OPTION_LINES)

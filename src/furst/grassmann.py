@@ -804,28 +804,34 @@ class LineFamily:
         )))
 
 
-def mesh_assign(family: LineFamily, delta: float, sink=None):
-    """Assign every line a (direction bucket, translation mesh cell) pair.
+def mesh_assign(family: LineFamily, delta: float, sink):
+    """Stream every line's (direction bucket, translation mesh cell) code to a sink.
 
     The buckets are those of `direction_cover(family.dim, delta)`.  The
     translation is expressed in the bucket center's orthocomplement frame
-    and binned by the 4*delta mesh anchored at 0 (`_mesh_rows`).  Returns
-    (bucket indices (n,), cell coordinates (n, d-1) int array).
+    and binned by the 4*delta mesh anchored at 0 (`_mesh_rows`).  table =
+    sink(n, lo, spans) is made once, every line's code goes to
+    table.add(codes, lines), and the table is returned; lines indexes the
+    codes' lines in the family (a slice, or an index array in d >= 3), and
+    a code's lines come in ascending order.  No (n,) bucket, cell or code
+    array is made while the layout holds.
 
-    With a `sink`, no (n,) bucket, cell or code array is made.  table =
-    sink(n, lo, spans) is made once before the pass from the digits'
-    offsets and spans (`_mesh_layout`), and each block's packed codes go to
-    table.add(codes, lines) in the loop that computes the block; lines
-    indexes the block's lines in the family (a slice in the plane, an index
-    array in d >= 3), and a code's lines come in ascending order: the plane's
-    blocks follow the family, and in d >= 3 all of a bucket's lines come in
-    one block.  A line's code is (bucket - first) * S^(d-1) + sum_j
-    (cell_j + H) * S^(d-2-j), S = 2H + 1, so ascending codes order lines
-    by bucket and then by cell coordinates.  The codes are packed by
-    `boxcount._pack_cells`, the grid counts' one pack rule: a float product
-    while `boxcount._float_weights` admits the layout, the int64 `_pack`
-    past it.  Returns (table, None); or, where the layout's range reaches
-    2^62, (None, (buckets, cells)) as without a sink.
+    Codes while `_mesh_layout` gives one: lo = (first, -H, ..., -H), spans
+    = (last - first + 1, S, ..., S), and a line's code is (bucket - first)
+    * S^(d-1) + sum_j (cell_j + H) * S^(d-2-j), S = 2H + 1, packed by
+    `boxcount._pack_cells`, the grid counts' one pack rule (a float
+    product while `boxcount._float_weights` admits the layout, the int64
+    `_pack` past it), block by block in the loop that computes the
+    block: the plane's blocks follow the family, and in d >= 3 all of a
+    bucket's lines come in one block.  Where the layout's range would
+    reach 2^62 (translations far from the origin at a fine scale) the
+    (n, d) rows are gathered and sorted once, lo = (first, 0), spans =
+    (last - first + 1, n), and a line's code is (bucket - first) * n +
+    the dense rank of its (bucket, cells) row.  Either way ascending
+    codes order lines by bucket and then by cell coordinates, and code //
+    (span / spans[0]) + first is the bucket.  The ranked codes fit an
+    int64 for any n below 2^36, since a cover has at most
+    `PLANAR_BUCKET_CAP` or `NET_CANDIDATE_CAP` buckets.
 
     Cost per scale for d=2: each line's angle is computed once per family
     (`LineFamily.angles`) and each bucket centre's sine and cosine once per
@@ -833,13 +839,14 @@ def mesh_assign(family: LineFamily, delta: float, sink=None):
     products, a subtraction, a division, the in-place snap (`snap_into`)
     and the pack, COUNT_BLOCK_ROWS lines at a time.  Over box-large's 4.1 M
     lines that is about 55 ms a scale with `mesh_cover_count`'s sink, where
-    the (n,) arrays and `mesh_codes`' passes took about 90 (one BLAS
-    thread, 2-vCPU VM, best of 7 at each of 2^-5 ... 2^-13).  For d>=3 every
+    (n,) bucket, cell and code arrays took about 90 (one BLAS thread,
+    2-vCPU VM, best of 7 at each of 2^-5 ... 2^-13).  For d>=3 every
     distinct direction is compared with every cover centre
     (`DirectionCover.assign`): O(m * k) for m distinct directions and k
     centres, plus an O(n log n) sort.  One more stable sort groups the
     lines by bucket, and each bucket's translations are projected onto its
-    frame in family order and packed.
+    frame in family order and packed.  The ranked codes add one O(n log n)
+    sort of the rows.
 
     A cell coordinate is a translation's coordinate in an orthonormal
     frame, at most its norm, so a scale at which the family's cached
@@ -853,14 +860,23 @@ def mesh_assign(family: LineFamily, delta: float, sink=None):
     width = 4.0 * delta
     # d >= 3: every line's bucket, assigned before the pass
     assigned = cover.assign(family.directions) if n and cover.angle_width is None else None
-    layout = _mesh_layout(family, cover, assigned, width) if sink is not None and n else None
+    layout = _mesh_layout(family, cover, assigned, width) if n else None
     if layout is None:
-        buckets = np.empty(n, dtype=np.int64)
-        cells = np.zeros((n, d - 1), dtype=np.int64)
-        for lines, rows in _mesh_rows(family, cover, assigned, width):
-            buckets[lines] = rows[:, 0]
-            cells[lines] = rows[:, 1:]
-        return (buckets, cells) if sink is None else (None, (buckets, cells))
+        rows = np.empty((n, d))
+        for lines, block in _mesh_rows(family, cover, assigned, width):
+            rows[lines] = block
+        # np.lexsort sorts by its last key, the bucket, first
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+        new_row = np.ones(n, dtype=bool)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=new_row[1:])
+        codes = np.empty(n, dtype=np.int64)
+        codes[order] = np.cumsum(new_row) - 1
+        first, last = (int(b) for b in ordered[[0, -1], 0]) if n else (0, 0)
+        codes += (rows[:, 0].astype(np.int64) - first) * n
+        table = sink(n, np.array([first, 0]), np.array([last - first + 1, n]))
+        table.add(codes, slice(0, n))
+        return table
     lo, spans = layout
     weights = _float_weights(lo, spans)
     table = sink(n, lo, spans)
@@ -869,7 +885,7 @@ def mesh_assign(family: LineFamily, delta: float, sink=None):
         if out.size < rows.shape[0]:  # a d >= 3 bucket of more lines
             out = np.empty(rows.shape[0])
         table.add(_pack_cells(rows, lo, spans, weights, out[: rows.shape[0]]), lines)
-    return table, None
+    return table
 
 
 def _mesh_rows(family: LineFamily, cover: DirectionCover, buckets, width: float):
@@ -947,10 +963,11 @@ def _mesh_layout(family: LineFamily, cover: DirectionCover, buckets, width: floa
     and the snap-up adds at most 1 to it: the cell is in [-H, H].  A
     quotient with |q| < 1 gives a cell in [-1, 1], inside since H >= 1.
 
-    The range test is the one `mesh_codes` makes, on the bounds:
-    fl(fl((last + 1) * S^(d-2)) * fl(S)) >= 2^62.  Each factor `mesh_codes`
-    tests is at most its bound and float products round monotonically, so
-    wherever a layout is returned `mesh_codes` would give codes.
+    The range test, fl(fl((last + 1) * S^(d-2)) * fl(S)) >= 2^62, is made
+    on the bounds.  Each rounding is monotone with relative error at most
+    2^-53, so wherever a layout is returned the codes' range (last - first
+    + 1) * S^(d-1) stays below 2^62 (1 + 2^-51) < 2^63: every code and
+    every `_pack` step fits an int64.
     """
     d = family.dim
     if buckets is None:
@@ -965,33 +982,6 @@ def _mesh_layout(family: LineFamily, cover: DirectionCover, buckets, width: floa
     lo = np.array([first] + [-half] * (d - 1), dtype=np.int64)
     spans = np.array([last - first + 1] + [side] * (d - 1), dtype=np.int64)
     return lo, spans
-
-
-def mesh_codes(buckets: np.ndarray, cells: np.ndarray):
-    """One int64 code per line for its (bucket, cell), or None if too fine.
-
-    Codes are mixed-radix numbers with the bucket as the leading digit and
-    the cell coordinates, each offset by its minimum, as the next ones, so
-    ascending codes order lines by bucket and then by cell in lexicographic
-    order.  Returns (codes, span) with every code in [0, span), or None when
-    the code range would reach 2**62.  `mesh_cover_count` packs them only
-    where its `_mesh_layout` bound reaches 2**62, to keep its exact-range
-    test there.
-    """
-    codes = buckets
-    for c in range(cells.shape[1]):
-        col = cells[:, c]
-        lo = int(col.min())
-        span = int(col.max()) - lo + 1
-        if float(codes.max() + 1) * float(span) >= 2**62:
-            return None
-        # the first product is a new array, so `buckets` is never written;
-        # int64 arithmetic wraps mod 2**64, so the intermediate codes * span
-        # + col may wrap but the result lies in [0, 2**62)
-        codes = codes * span if c == 0 else np.multiply(codes, span, out=codes)
-        codes += col
-        codes -= lo
-    return codes, int(codes.max()) + 1
 
 
 class _MeshCount:
@@ -1010,15 +1000,14 @@ def mesh_cover_count(family: LineFamily, delta: float) -> int:
     This is the covering-number proxy for line families; its log-log slope
     against 1/delta estimates the family's box dimension.
 
-    Cost per scale: `mesh_assign`, whose packed (bucket, cell) codes go
-    block by block into a `boxcount.CodeSet`, about 55 ms over box-large's
-    4.1 M lines (90 ms through (n,) arrays and `mesh_codes`).  While the
-    layout's range is at most 8 * n the occupied products are marked in a
-    table of at most 8 * n bytes, O(n + range); above that the codes are
-    sorted, O(n log n).  On box-large the table grows to 8 MB at 2^-13.
-    Where the layout's range reaches 2^62 the lines' buckets and cells are
-    packed over their exact ranges (`mesh_codes`), and a range that
-    reaches 2^62 there too raises InvalidScale.
+    Cost per scale: `mesh_assign`, whose (bucket, cell) codes go block by
+    block into a `boxcount.CodeSet`, about 55 ms over box-large's 4.1 M
+    lines.  While the layout's range is at most 8 * n the occupied
+    products are marked in a table of at most 8 * n bytes, O(n + range);
+    above that the codes are sorted, O(n log n).  On box-large the table
+    grows to 8 MB at 2^-13.  Where the layout's range would reach 2^62 the
+    codes are dense ranks of the (bucket, cell) rows, so every scale that
+    `require_indexable` admits is counted.
     """
     if not (0.0 < delta <= 1.0):
         raise InvalidScale(f"mesh scale must lie in (0, 1], got {delta}")
@@ -1030,13 +1019,4 @@ def mesh_cover_count(family: LineFamily, delta: float) -> int:
             f"scale {delta:.3e} is below the family's resolution floor "
             f"{family.resolution_floor:.3e}"
         )
-    table, arrays = mesh_assign(family, delta, _MeshCount)
-    if table is not None:
-        return table.seen.count()
-    packed = mesh_codes(*arrays)
-    if packed is None:
-        raise InvalidScale("mesh too fine to index at this scale")
-    codes, span = packed
-    seen = CodeSet(len(codes), span)
-    seen.add(codes)
-    return seen.count()
+    return mesh_assign(family, delta, _MeshCount).seen.count()

@@ -212,35 +212,6 @@ class _LowestLines:
         return codes // self.per_bucket + self.first_bucket
 
 
-def _cell_representatives(family: LineFamily, delta: float):
-    """(lines, buckets): the lowest line of every occupied (bucket, cell) product.
-
-    Returned in ascending (bucket, cell coordinates) order, the order of
-    `grassmann.mesh_assign`'s packed codes, which go block by block into a
-    `_LowestLines` table.  Where the codes' layout would reach 2**62 the
-    lines' buckets and cells are taken as arrays instead, one stable sort
-    orders the lines by bucket and cell coordinates and the first line of
-    each run is kept, O(n log n).
-
-    Cost: about 60 ms a scale over box-large's 4.1 M lines at 2^-2 ...
-    2^-7 (one BLAS thread, 2-vCPU VM, best of 7), against about 100 ms
-    with (n,) bucket, cell and code arrays and np.minimum.at.
-    """
-    table, arrays = mesh_assign(family, delta, _LowestLines)
-    if table is not None:
-        return table.representatives()
-    buckets, cells = arrays
-    # np.lexsort sorts by its last key first and keeps equal keys in line order
-    keys = [cells[:, c] for c in range(cells.shape[1] - 1, -1, -1)] + [buckets]
-    order = np.lexsort(keys)
-    new_run = np.zeros(len(buckets), dtype=bool)
-    new_run[0] = True
-    for key in keys:
-        ordered = key[order]
-        new_run[1:] |= ordered[1:] != ordered[:-1]
-    return order[new_run], buckets[order[new_run]]
-
-
 def pigeonhole_extract(
     family: LineFamily,
     cloud: PointCloud,
@@ -262,11 +233,11 @@ def pigeonhole_extract(
     index on ties), which keeps the certified bound monotone under family
     enlargement.
 
-    Cost per scale: `mesh_assign`, streaming the packed (bucket, cell)
-    codes into a table of each occupied cell's lowest line while the codes
-    are dense and into one stable sort otherwise (`_cell_representatives`,
-    about 60 ms over box-large's 4.1 M lines at 2^-2 ... 2^-7, where (n,)
-    arrays, `mesh_codes` and np.minimum.at took about 100); one blocked
+    Cost per scale: `mesh_assign`, streaming the (bucket, cell) codes into
+    a table of each occupied cell's lowest line while the codes are dense
+    and into one stable sort otherwise (`_LowestLines`, about 60 ms over
+    box-large's 4.1 M lines at 2^-2 ... 2^-7, where (n,) bucket, cell and
+    code arrays and np.minimum.at took about 100); one blocked
     greedy pass thinning every bucket's candidates (`_greedy_thin`), which
     measures each candidate against the kept candidates of its own bucket
     in array operations, with no Python work per candidate; and one
@@ -295,7 +266,7 @@ def pigeonhole_extract(
     # double-precision rounding of points that lie exactly on their lines
     tol = max(cloud.resolution_floor, 1e-12) if tol is None else float(tol)
 
-    cands, buckets = _cell_representatives(family, delta)
+    cands, buckets = mesh_assign(family, delta, _LowestLines).representatives()
     sep = THINNING_SEPARATION * delta
     # candidates come bucket by bucket, each bucket's cells in lexicographic
     # order; argmax takes the lowest of the buckets keeping the most

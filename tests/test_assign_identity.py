@@ -29,6 +29,7 @@ import furst
 from furst import grassmann
 
 import line_reference
+from mesh_sink import streamed
 
 THIRDS = furst.CantorSpec(3, (0, 2))
 NET_SCALES = [2.0**-k for k in range(1, 6)] + [0.3, 0.125, 0.07, 0.045]
@@ -292,7 +293,7 @@ def test_rounds_keep_the_in_order_greedy_set(m, density, seed, sizes, banded):
 
 
 def check_cells(family, delta):
-    buckets, cells = grassmann.mesh_assign(family, delta)
+    buckets, cells, _ = streamed(family, delta)
     cover = furst.direction_cover(family.dim, delta)
     assert np.array_equal(buckets, cover.assign(family.directions))
     assert cells.dtype == np.int64

@@ -639,6 +639,19 @@ def test_wrong_typed_input_exits_1(tmp_path, capsys, command, payload, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("K", [-1, -2, 4])
+def test_K_outside_the_schedule_exits_1(tmp_path, capsys, K):
+    # a negative K once sliced the schedule from its end and ran fewer steps
+    out = tmp_path / "out"
+    argv = ["--config", write_config(tmp_path / "c.json", dict(PACKING_CONFIG, K=K)),
+            "--out", str(out)]
+    assert main(["construct-packing", *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"K = {K} must lie in [0, 3]" in err, err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def without(config, key, part=None):
     """config without `key`, or with `key` dropped from its `part` object."""
     if part is None:

@@ -31,6 +31,7 @@ from furst import grassmann
 from furst.errors import InvalidParameter, ResourceCap
 
 import line_reference
+from mesh_sink import streamed
 
 COVERS = (
     [(3, 2.0**-k) for k in range(1, 6)]
@@ -278,7 +279,7 @@ def test_mesh_assign_matches_reference_in_3d():
     trans = raw - np.einsum("ij,ij->i", raw, dirs)[:, None] * dirs
     family = furst.LineFamily(dirs, trans, 1e-9)
     for delta in (0.5, 0.25, 0.07):
-        buckets, cells = grassmann.mesh_assign(family, delta)
+        buckets, cells, _ = streamed(family, delta)
         expected_buckets, expected_cells = line_reference.mesh_assign(family, delta)
         assert np.array_equal(buckets, expected_buckets)
         assert np.array_equal(cells, expected_cells)

@@ -1,70 +1,60 @@
 """Packed mesh codes decode to the plain form's buckets and cells.
 
-With a sink, `grassmann.mesh_assign` packs each block's (bucket, cell) rows
-into int64 codes in the loop that computes them (`_mesh_layout` fixes the
-digits before the pass, `boxcount._pack_cells` packs them) and hands them
-to the sink without making an (n,) array.  The sink here keeps each line's
-code; decoded with `boxcount._unpack` they must give
+`grassmann.mesh_assign` packs each block's (bucket, cell) rows into int64
+codes in the loop that computes them (`_mesh_layout` fixes the digits
+before the pass, `boxcount._pack_cells` packs them) and hands them to its
+sink without making an (n,) array.  The sink here (`mesh_sink.Codes`)
+keeps each line's code; decoded with `boxcount._unpack` they must give
 `line_reference.mesh_assign`'s buckets and cells, bit for bit.  The cell
 bound H of the layout is tried at its worst case, translations as long as
 the family's radius along each bucket centre's normal at scales where
 radius / (4 delta) lies just below an integer, and the codes on both sides
-of the float pack guard.  No `assert` here: every check raises through
-`expect`, so these tests check the same under python -O, and they also run
-under the oldest numpy that pyproject allows.
+of the float pack guard.  Where the layout's range would reach 2^62 the
+second digit is instead the line's dense rank among the reference
+(bucket, cells) rows, and a property over families with lines near and
+far from the origin compares counts and pigeonhole certificates with the
+references on both sides of that edge.  No `assert` here: every check
+raises through `expect` (the certificates through pytest's rewritten
+asserts), so these tests check the same under python -O, and they also
+run under the oldest numpy that pyproject allows.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import furst
-from furst import boxcount, grassmann, util
-from furst.errors import InvalidScale
+from furst import boxcount, grassmann, util, verifier
 
 import line_reference
+from mesh_sink import Codes, dense_ranks, expect, streamed
 from test_occupancy import planar_family, reference_mesh_count
+from test_pigeonhole_identity import assert_same_certificate, family_and_cloud
 from test_snap_pack_identity import signed_zero_family
-
-
-def expect(ok, what):
-    if not ok:
-        raise AssertionError(what)
-
-
-class Codes:
-    """A `mesh_assign` sink keeping every line's code and how often it came."""
-
-    def __init__(self, n, lo, spans):
-        self.lo, self.spans = lo, spans
-        self.codes = np.full(n, -1, dtype=np.int64)
-        self.times = np.zeros(n, dtype=np.int64)
-
-    def add(self, codes, lines):
-        expect(codes.dtype == np.int64, f"codes of dtype {codes.dtype}")
-        self.codes[lines] = codes
-        self.times[lines] += 1
-
-
-def decoded(family, delta):
-    """(buckets, cells, layout) of the codes `mesh_assign` streams to a sink."""
-    table, arrays = grassmann.mesh_assign(family, delta, Codes)
-    expect(arrays is None and table is not None, "codes streamed to the sink")
-    expect(np.all(table.times == 1), "every line's code came exactly once")
-    span = int(np.prod(table.spans))
-    expect(np.all((table.codes >= 0) & (table.codes < span)), "codes inside the span")
-    rows = boxcount._unpack(table.codes, table.lo, table.spans)
-    return rows[:, 0], rows[:, 1:], (table.lo, table.spans)
 
 
 def check_decoded(family, delta, block_rows=grassmann.COUNT_BLOCK_ROWS):
     expected_buckets, expected_cells = line_reference.mesh_assign(family, delta)
     with mock.patch.object(grassmann, "COUNT_BLOCK_ROWS", block_rows):
-        buckets, cells, layout = decoded(family, delta)
+        buckets, cells, layout = streamed(family, delta)
     expect(np.array_equal(buckets, expected_buckets), f"buckets at delta={delta}")
     expect(np.array_equal(cells, expected_cells), f"cells at delta={delta}")
     return layout
+
+
+def check_ranked(family, delta, block_rows=grassmann.COUNT_BLOCK_ROWS):
+    """Past 2^62 the codes decode to the reference buckets and each line's
+    dense rank among the reference (bucket, cells) rows."""
+    expected_buckets, expected_cells = line_reference.mesh_assign(family, delta)
+    with mock.patch.object(grassmann, "COUNT_BLOCK_ROWS", block_rows):
+        buckets, ranks, (lo, spans) = streamed(family, delta)
+    expect(int(lo[1]) == 0 and int(spans[1]) == len(family), "a rank digit in [0, n)")
+    expect(np.array_equal(buckets, expected_buckets), f"buckets at delta={delta}")
+    expect(np.array_equal(ranks[:, 0], dense_ranks(expected_buckets, expected_cells)),
+           f"dense ranks at delta={delta}")
 
 
 def spatial_family(rng, n, d, scale=1.0):
@@ -105,7 +95,7 @@ def test_codes_order_lines_as_bucket_and_cell_tuples():
     for family, delta in ((planar_family(rng.uniform(0.0, np.pi, 500),
                                          rng.uniform(-1.0, 1.0, 500)), 2.0**-6),
                           (spatial_family(rng, 300, 3), 0.25)):
-        table, _ = grassmann.mesh_assign(family, delta, Codes)
+        table = grassmann.mesh_assign(family, delta, Codes)
         buckets, cells = line_reference.mesh_assign(family, delta)
         keys = [cells[:, c] for c in range(cells.shape[1] - 1, -1, -1)] + [buckets]
         by_tuple = np.lexsort(keys)
@@ -210,17 +200,91 @@ def test_spatial_codes_past_the_float_pack_guard():
 
 def test_exact_ranges_decide_past_the_bound():
     # lines along (0, 1), bucket 6 of 13 at 1/4, 1e18 from the origin: the
-    # bound's range passes 2^62, so the lines' own cell range decides, as
-    # before the layout
+    # bound's range passes 2^62, so each line's code holds the dense rank of
+    # its (bucket, cell) row
     delta = 0.25
     up = [[0.0, 1.0]] * 3
     family = furst.LineFamily(up, [[1e18, 0.0], [1e18, 0.0], [1e18 + 4096.0, 0.0]], 1e-300)
     cover = furst.direction_cover(2, delta)
     expect(grassmann._mesh_layout(family, cover, None, 4.0 * delta) is None, "no layout")
     expect(furst.mesh_cover_count(family, delta) == reference_mesh_count(family, delta) == 2,
-           "count from the exact ranges")
+           "count from the ranks")
+    check_ranked(family, delta)
+    # the lines' own cell range passes 2^62 too, and the ranks still count it
     spread = furst.LineFamily(up[:2], [[1e18, 0.0], [-1e18, 0.0]], 1e-300)
-    with pytest.raises(InvalidScale, match="mesh too fine to index"):
-        reference_mesh_count(spread, delta)
-    with pytest.raises(InvalidScale, match="mesh too fine to index"):
-        furst.mesh_cover_count(spread, delta)
+    expect(furst.mesh_cover_count(spread, delta) == reference_mesh_count(spread, delta) == 2,
+           "count past the exact ranges")
+    check_ranked(spread, delta)
+
+
+# lines whose translations are orthogonal to their directions exactly, at
+# any offset: each direction with the rows its translation combines.  The
+# planar ones lie at angles pi/2 and 3 pi/4, above the near lines' buckets,
+# so a far bucket is best only when it keeps more lines
+EXACT_LINES = {
+    2: (np.array([[0.0, 1.0], [2**-0.5, -(2**-0.5)]]),
+        np.array([[[1.0, 0.0]], [[1.0, 1.0]]])),
+    3: (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [2**-0.5, 2**-0.5, 0.0]]),
+        np.array([[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                  [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])),
+}
+
+
+@st.composite
+def near_and_far(draw):
+    """(family, cloud, delta): lines near the origin, each with a cloud
+    point, in d = 2 or 3, and up to four lines k * 4 delta * 2^e out along
+    exact normals (|k| <= 16, so under require_indexable's 2^61 cells).  At
+    e = 56 the layout's range passes 2^62 in most d = 3 draws, and in the
+    plane where (last bucket + 1) * max |k| reaches about 32; at e = 20 or
+    40 it holds."""
+    d = draw(st.sampled_from([2, 3]))
+    delta = draw(st.sampled_from([0.5, 0.25, 0.125, 2.0**-4] if d == 2 else [0.5, 0.25]))
+    n = draw(st.integers(1, 20))
+    if d == 2:
+        base = draw(st.lists(st.floats(0.0, 1.4), min_size=1, max_size=4))
+        angles = np.array(draw(st.lists(st.sampled_from(base), min_size=n, max_size=n)))
+        offsets = np.array(draw(st.lists(
+            st.integers(-12, 12).map(lambda k: k * 0.05) | st.floats(-0.6, 0.6),
+            min_size=n, max_size=n)))
+        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        trans = np.column_stack([-np.sin(angles), np.cos(angles)]) * offsets[:, None]
+    else:
+        base = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+                             .filter(lambda v: np.linalg.norm(v) > 0.1), min_size=1, max_size=3))
+        dirs = np.array(draw(st.lists(st.sampled_from(base), min_size=n, max_size=n)))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        raw = np.array(draw(st.lists(
+            st.lists(st.integers(-4, 4).map(lambda k: k * 0.15) | st.floats(-0.5, 0.5),
+                     min_size=3, max_size=3), min_size=n, max_size=n)))
+        trans = raw - np.einsum("ij,ij->i", raw, dirs)[:, None] * dirs
+    along = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)))
+    far = draw(st.integers(0, 4))
+    unit = 4.0 * delta * 2.0 ** draw(st.sampled_from([20, 40, 56]))
+    far_dirs, normals = EXACT_LINES[d]
+    kinds = np.array(draw(st.lists(st.integers(0, len(far_dirs) - 1), min_size=far, max_size=far)),
+                     dtype=int)
+    ks = np.array(draw(st.lists(st.lists(st.integers(-16, 16), min_size=d - 1, max_size=d - 1),
+                                min_size=far, max_size=far)), dtype=float).reshape(far, d - 1)
+    far_trans = np.einsum("ij,ijk->ik", ks * unit, normals[kinds])
+    family, cloud = family_and_cloud(np.vstack([dirs, far_dirs[kinds]]),
+                                     np.vstack([trans, far_trans]),
+                                     np.concatenate([along, np.zeros(far)]), slice(0, n))
+    return family, cloud, delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(near_and_far())
+def test_counts_and_certificates_on_both_sides_of_2_62(case):
+    family, cloud, delta = case
+    for block_rows in (grassmann.COUNT_BLOCK_ROWS, 7):
+        with mock.patch.object(grassmann, "COUNT_BLOCK_ROWS", block_rows), \
+                mock.patch.object(verifier, "COUNT_BLOCK_ROWS", block_rows):
+            expect(furst.mesh_cover_count(family, delta) == reference_mesh_count(family, delta),
+                   f"count at delta={delta}")
+            assert_same_certificate(family, cloud, delta)
+        _, _, (lo, _) = streamed(family, delta)
+        if int(lo[1]) == 0:
+            check_ranked(family, delta, block_rows)
+        else:
+            check_decoded(family, delta, block_rows)

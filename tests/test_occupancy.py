@@ -2,9 +2,10 @@
 
 `grid_count` and `mesh_cover_count` count distinct cell codes with a dense
 occupancy table or, for sparse codes, one np.unique.  The references below
-are the plain forms: snap every point, pack every code, sort them all; the
-line mesh itself is pinned to `line_reference.mesh_assign`, which computes
-every line's angle, sine and cosine at each call.
+are the plain forms: snap every point, pack every code and sort them all,
+and count the lines' distinct (bucket, cells) rows; the line mesh itself
+is pinned to `line_reference.mesh_assign`, which computes every line's
+angle, sine and cosine at each call.
 """
 
 from unittest import mock
@@ -20,6 +21,7 @@ from furst.errors import InvalidScale
 from furst.util import snap_floor
 
 import line_reference
+from mesh_sink import streamed
 
 DELTAS = [2.0**-j for j in range(1, 13)] + [0.3, 0.1, 1 / 27, 3.0**-5 * np.sqrt(2)]
 
@@ -42,16 +44,9 @@ def reference_grid_count(points, delta):
 
 
 def reference_mesh_count(family, delta):
+    """Distinct (bucket, cells) rows, at every scale the mesh admits."""
     buckets, cells = line_reference.mesh_assign(family, delta)
-    codes = buckets.copy()
-    for c in range(cells.shape[1]):
-        col = cells[:, c]
-        lo = col.min()
-        span = col.max() - lo + 1
-        if float(codes.max() + 1) * float(span) >= 2**62:
-            raise InvalidScale("mesh too fine to index at this scale")
-        codes = codes * span + (col - lo)
-    return int(np.unique(codes).size)
+    return int(np.unique(np.column_stack([buckets, cells]), axis=0).shape[0])
 
 
 def grid_span(points, delta):
@@ -199,7 +194,7 @@ def test_mesh_assign_matches_reference_planar(case, block_rows):
     family = planar_family(angles, offsets)
     expected_buckets, expected_cells = line_reference.mesh_assign(family, delta)
     with mock.patch.object(grassmann, "COUNT_BLOCK_ROWS", block_rows):
-        buckets, cells = grassmann.mesh_assign(family, delta)
+        buckets, cells, _ = streamed(family, delta)
     assert buckets.dtype == expected_buckets.dtype and cells.dtype == expected_cells.dtype
     assert np.array_equal(buckets, expected_buckets)
     assert np.array_equal(cells, expected_cells)
@@ -230,7 +225,7 @@ def test_mesh_assign_matches_reference_at_snap_thresholds(delta):
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     family = planar_family(np.tile(theta, 2), np.concatenate([lo, hi]).view(float))
     expected_buckets, expected_cells = line_reference.mesh_assign(family, delta)
-    buckets, cells = grassmann.mesh_assign(family, delta)
+    buckets, cells, _ = streamed(family, delta)
     assert np.array_equal(buckets, expected_buckets)
     assert np.array_equal(cells, expected_cells)
 

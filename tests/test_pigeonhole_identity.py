@@ -142,8 +142,9 @@ def test_code_range_beyond_2_62_still_extracts(d):
                           [1e18, 0.0, 0.0], [0.0, -1e18, 0.0]])
     near = len(dirs) - 2
     family, cloud = family_and_cloud(dirs, trans, np.full(len(dirs), 0.2), slice(0, near))
-    buckets, cells = grassmann.mesh_assign(family, delta)
-    assert grassmann.mesh_codes(buckets, cells) is None
+    buckets, cells = line_reference.mesh_assign(family, delta)
+    spans = (np.ptp(cells, axis=0) + 1).astype(float)
+    assert float(buckets.max() + 1) * float(np.prod(spans)) >= 2**62
     cover = furst.direction_cover(d, delta)
     assigned = buckets if d > 2 else None
     assert grassmann._mesh_layout(family, cover, assigned, 4.0 * delta) is None
