@@ -825,12 +825,12 @@ def mesh_assign(family: LineFamily, delta: float, sink):
     block: the plane's blocks follow the family, and in d >= 3 all of a
     bucket's lines come in one block.  Where the layout's range would
     reach 2^62 (translations far from the origin at a fine scale) the
-    (n, d) rows are gathered and sorted once, lo = (first, 0), spans =
-    (last - first + 1, n), and a line's code is (bucket - first) * n +
-    the dense rank of its (bucket, cells) row.  Either way ascending
-    codes order lines by bucket and then by cell coordinates, and code //
-    (span / spans[0]) + first is the bucket.  The ranked codes fit an
-    int64 for any n below 2^36, since a cover has at most
+    (n, d) rows are gathered and ranked by one np.unique, lo = (first,
+    0), spans = (last - first + 1, n), and a line's code is (bucket -
+    first) * n + the dense rank of its (bucket, cells) row.  Either way
+    ascending codes order lines by bucket and then by cell coordinates,
+    and code // (span / spans[0]) + first is the bucket.  The ranked codes
+    fit an int64 for any n below 2^36, since a cover has at most
     `PLANAR_BUCKET_CAP` or `NET_CANDIDATE_CAP` buckets.
 
     Cost per scale for d=2: each line's angle is computed once per family
@@ -865,15 +865,11 @@ def mesh_assign(family: LineFamily, delta: float, sink):
         rows = np.empty((n, d))
         for lines, block in _mesh_rows(family, cover, assigned, width):
             rows[lines] = block
-        # np.lexsort sorts by its last key, the bucket, first
-        order = np.lexsort(rows.T[::-1])
-        ordered = rows[order]
-        new_row = np.ones(n, dtype=bool)
-        np.any(ordered[1:] != ordered[:-1], axis=1, out=new_row[1:])
-        codes = np.empty(n, dtype=np.int64)
-        codes[order] = np.cumsum(new_row) - 1
-        first, last = (int(b) for b in ordered[[0, -1], 0]) if n else (0, 0)
-        codes += (rows[:, 0].astype(np.int64) - first) * n
+        # distinct rows in lexicographic order, bucket first; a -0.0 cell
+        # equals 0.0 here, as the int64 cells would
+        distinct, ranks = np.unique(rows, axis=0, return_inverse=True)
+        first, last = (int(b) for b in distinct[[0, -1], 0]) if n else (0, 0)
+        codes = (rows[:, 0].astype(np.int64) - first) * n + ranks.reshape(-1)
         table = sink(n, np.array([first, 0]), np.array([last - first + 1, n]))
         table.add(codes, slice(0, n))
         return table

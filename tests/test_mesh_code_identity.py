@@ -215,6 +215,14 @@ def test_exact_ranges_decide_past_the_bound():
     expect(furst.mesh_cover_count(spread, delta) == reference_mesh_count(spread, delta) == 2,
            "count past the exact ranges")
     check_ranked(spread, delta)
+    # beside them, lines along (1, 0) whose cells snap to -0.0 and 0.0 (no
+    # snap-up in the block keeps the sign) share one rank
+    mixed = furst.LineFamily([[1.0, 0.0]] * 4 + up[:2],
+                             [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.5], [0.0, -0.0]]
+                             + spread.translations.tolist(), 1e-300)
+    expect(furst.mesh_cover_count(mixed, delta) == reference_mesh_count(mixed, delta) == 3,
+           "count with signed zero cells")
+    check_ranked(mixed, delta)
 
 
 # lines whose translations are orthogonal to their directions exactly, at
